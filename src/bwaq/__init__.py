@@ -1,4 +1,4 @@
-"""1+1-bit weight / 4x1-bit activation quantization with a popcount kernel."""
+"""1+1-bit weight / 4x1-bit activation quantization with an exact bit-count kernel."""
 
 from .actquant import (
     ActBitplanes,
@@ -10,7 +10,7 @@ from .actquant import (
     rtn_dequantize,
     rtn_quantize,
 )
-from .bitkernel import BitBlock, bench_forward, forward, forward_reference, group_counts, popc_and
+from .bitkernel import bench_forward, counts, forward, forward_reference
 from .calibration import (
     CalibrationStats,
     accumulate_hessian,
@@ -40,7 +40,6 @@ from .weightquant import (
 
 __all__ = [
     "ActBitplanes",
-    "BitBlock",
     "CalibrationStats",
     "ConfigError",
     "DataError",
@@ -55,6 +54,7 @@ __all__ = [
     "bench_forward",
     "calibrate",
     "channel_permutation",
+    "counts",
     "damped_inverse_cholesky",
     "decompose_bitplanes",
     "dequant_weights",
@@ -64,14 +64,12 @@ __all__ = [
     "forward",
     "forward_reference",
     "gptq_compensate",
-    "group_counts",
     "init_centers",
     "inspect_model",
     "layer_nbytes",
     "m_step",
     "model_nbytes",
     "plane_corrections",
-    "popc_and",
     "quant_outliers_int8",
     "quantize_activations",
     "quantize_linear",

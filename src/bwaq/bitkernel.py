@@ -1,47 +1,68 @@
-"""Binarized forward pass: masked popcount accumulation plus the INT8
-outlier path and float combination.
+"""Binarized forward pass: exact bit counts, one float64 combination and
+the INT8 outlier tail.
 
 Per output row j, group l, plane a and subgroup s the kernel accumulates
 mu[l,a] * (alpha[j,l,s] * (2*v - r) + beta[j,l,s] * r) where v counts set
 bits of sign&plane within the subgroup and r counts set plane bits; (2v - r)
 realizes the +/-1 sign mapping. Plane a = -1 is the constant-ones plane with
 coefficient shift = -mu*z; its counts are activation-independent and are
-computed from the sign/mask words directly. Counts are held in 64-bit
-integers, the float combination in float64.
+computed from the sign/mask words directly.
 
-forward is a pure function over immutable layer data; nothing here mutates
-the layer.
+`counts` is the seam between integer and float work. It returns, in blocks
+of groups and tokens, v = popc(q&b), v1 = popc(q&b&m) and r1 = popc(b&m) for
+every (row, token, group, plane); the subgroup-0 counts follow as v - v1 and
+r - r1. Two backends produce these integers and agree on every one:
+
+- few tokens: popcount on the packed words, all groups in one broadcast;
+- token batches: per group, a float32 GEMM of the unpacked weight bits
+  [q; q&m; m] against the unpacked plane bits. Every partial sum is an
+  integer of at most group_size < 2^24, so float32 holds it exactly.
+
+One float64 step combines the counts of either backend. The INT8 tail is a
+float64 product whose partial sums are integers below 2^53. forward is a
+pure function over immutable layer data; nothing here mutates the layer.
 """
 
 import time
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .actquant import ActBitplanes, quantize_activations, reconstruct, reconstruct_outliers
-from .bits import BitBlock, pack_bits, popcount, words_for
+from .bits import pack_bits, popcount, unpack_bits, words_for
 from .errors import DataError
 from .weightquant import QuantizedLinear, dequant_weights
 
+# Calls with at least this many tokens count with GEMMs, smaller ones with
+# popcount. The measured crossover lies at 8-16 tokens for layer widths 1024
+# and 4096, where 12 keeps either choice within about 1.4x of the other,
+# and near 32 tokens for width 256 (table in CHANGES.md).
+GEMM_MIN_TOKENS = 12
+# Tokens per GEMM block: bounds the count and combination temporaries, so
+# peak memory does not grow with the batch.
+GEMM_TOKENS = 128
+# float32 represents every integer up to 2^24; a count can reach group_size.
+GEMM_MAX_GROUP = 2**24
 
-def popc_and(x: BitBlock, y: BitBlock) -> int:
-    """Number of positions where both blocks have a 1 bit."""
-    return (x & y).popcount()
 
+@dataclass
+class Counts:
+    """Exact integer counts of one forward call.
 
-def group_counts(q: BitBlock, b: BitBlock, m: BitBlock):
-    """Subgroup bit counts for one (row, group, plane) triple.
-
-    Convention: mask bit 1 means the channel belongs to subgroup 1.
-    Returns (v0, v1, r0, r1) with e = q & b:
-        v1 = popc(e & m), v0 = popc(e & ~m),
-        r1 = popc(b & m), r0 = popc(b & ~m).
+    ones:   (3, rows, groups) popc(q), popc(q&m), popc(m): the counts of
+            the constant-ones plane.
+    planes: (tokens, groups, 4) popc(b) per activation plane.
+    blocks: (tokens slice, groups slice, counts) triples covering every
+            (token, group) once; counts has shape (3, rows, groups, 4,
+            tokens) and holds popc(q&b), popc(q&b&m), popc(b&m) along its
+            first axis. Both backends yield them lazily; the GEMM backend
+            one group and at most GEMM_TOKENS tokens at a time.
     """
-    e = q & b
-    v1 = popc_and(e, m)
-    v0 = popc_and(e, ~m)
-    r1 = popc_and(b, m)
-    r0 = popc_and(b, ~m)
-    return v0, v1, r0, r1
+
+    ones: np.ndarray
+    planes: np.ndarray
+    blocks: Iterator[tuple[slice, slice, np.ndarray]]
 
 
 def _check_compatible(layer: QuantizedLinear, act: ActBitplanes) -> None:
@@ -63,67 +84,135 @@ def _check_compatible(layer: QuantizedLinear, act: ActBitplanes) -> None:
         raise DataError("non-finite plane scales")
 
 
-def forward(layer: QuantizedLinear, act: ActBitplanes) -> np.ndarray:
-    """Masked-popcount forward pass, output shape (tokens, rows)."""
-    _check_compatible(layer, act)
+def _token_steps(tokens: int, step: int):
+    for start in range(0, tokens, step):
+        yield slice(start, min(start + step, tokens))
+
+
+def _weight_words(layer: QuantizedLinear) -> np.ndarray:
+    """q, q&m and m words as (3, groups, words, rows), rows innermost."""
+    q = layer.signs.transpose(1, 2, 0)
+    m = layer.mask.transpose(1, 2, 0)
+    words = np.empty((3,) + q.shape, dtype=np.uint64)
+    words[0] = q
+    np.bitwise_and(q, m, out=words[1])
+    words[2] = m
+    return words
+
+
+def _popcount_blocks(words: np.ndarray, act: ActBitplanes):
+    """Counts by popcount on the packed words, every group in one broadcast.
+
+    A call below the GEMM threshold is a single block; steps of
+    GEMM_MIN_TOKENS tokens bound a large call that the float32 guard routes
+    here.
+    """
+    _, groups, n_words, rows = words.shape
+    for tok in _token_steps(act.tokens, GEMM_MIN_TOKENS):
+        planes = act.planes[tok].transpose(1, 2, 0, 3)[..., None]
+        # (3, groups, 4, tokens, rows): rows innermost keeps the broadcast in
+        # long runs, and one weight plane and word at a time keeps the
+        # temporaries small; the block is a transposed view
+        hits = np.zeros((3, groups, 4, planes.shape[2], rows), dtype=np.int32)
+        for k in range(3):
+            for w in range(n_words):
+                hits[k] += popcount(words[k, :, None, None, w] & planes[..., w, :])
+        yield tok, slice(None), hits.transpose(0, 4, 1, 2, 3)
+
+
+def _gemm_blocks(layer: QuantizedLinear, act: ActBitplanes):
+    """Counts by float32 GEMM over unpacked bits, one group at a time.
+
+    Each group's weight bits [q; q&m; m] are unpacked once per call and
+    multiplied by its plane bits in steps of GEMM_TOKENS tokens.
+    """
+    b = layer.group_size
     rows = layer.rows
-    tokens = act.tokens
-    b_chan = layer.group_size
-    affine = np.asarray(layer.affine, dtype=np.float64)
-    acc = np.zeros((rows, tokens), dtype=np.float64)
-
+    q = unpack_bits(layer.signs, b)
+    m = unpack_bits(layer.mask, b)
+    bits = np.empty((3, rows, b), dtype=np.float32)
     for g in range(layer.n_groups):
-        qw = layer.signs[:, g]
-        mw = layer.mask[:, g]
-        bw = act.planes[:, g]
+        bits[0] = q[:, g]
+        bits[2] = m[:, g]
+        np.multiply(bits[0], bits[2], out=bits[1])
+        for tok in _token_steps(act.tokens, GEMM_TOKENS):
+            planes = unpack_bits(act.planes[tok, g], b).transpose(1, 0, 2)
+            planes = planes.astype(np.float32).reshape(-1, b)
+            hits = bits.reshape(3 * rows, b) @ planes.T
+            yield tok, slice(g, g + 1), hits.reshape(3, rows, 1, 4, -1)
 
-        e = qw[:, None, None, :] & bw[None, :, :, :]
-        v_all = popcount(e).sum(axis=-1, dtype=np.int64)
-        v1 = popcount(e & mw[:, None, None, :]).sum(axis=-1, dtype=np.int64)
-        v0 = v_all - v1
-        r1 = popcount(bw[None, :, :, :] & mw[:, None, None, :]).sum(axis=-1, dtype=np.int64)
-        r_all = popcount(bw).sum(axis=-1, dtype=np.int64)
-        r0 = r_all[None, :, :] - r1
 
-        a0 = affine[:, g, 0, 0][:, None, None]
-        b0 = affine[:, g, 0, 1][:, None, None]
-        a1 = affine[:, g, 1, 0][:, None, None]
-        b1 = affine[:, g, 1, 1][:, None, None]
-        term = a0 * (2 * v0 - r0) + b0 * r0 + a1 * (2 * v1 - r1) + b1 * r1
-        acc += np.einsum("rta,ta->rt", term, act.plane_scales[:, g, :])
+def counts(layer: QuantizedLinear, act: ActBitplanes) -> Counts:
+    """Exact integer counts of one call.
 
-        # constant-ones plane: counts depend only on the layer bits
-        v1c = popcount(qw & mw).sum(axis=-1, dtype=np.int64)
-        v0c = popcount(qw).sum(axis=-1, dtype=np.int64) - v1c
-        r1c = popcount(mw).sum(axis=-1, dtype=np.int64)
-        r0c = b_chan - r1c
-        termc = (
-            affine[:, g, 0, 0] * (2 * v0c - r0c)
-            + affine[:, g, 0, 1] * r0c
-            + affine[:, g, 1, 0] * (2 * v1c - r1c)
-            + affine[:, g, 1, 1] * r1c
-        )
-        acc += termc[:, None] * act.shift[None, :, g]
+    The backend depends on the call's token count alone, except that a
+    group of GEMM_MAX_GROUP bits or more always goes to popcount.
+    """
+    words = _weight_words(layer)
+    if act.tokens >= GEMM_MIN_TOKENS and layer.group_size < GEMM_MAX_GROUP:
+        blocks = _gemm_blocks(layer, act)
+    else:
+        blocks = _popcount_blocks(words, act)
+    return Counts(
+        ones=popcount(words).sum(axis=2, dtype=np.int32).transpose(0, 2, 1),
+        planes=popcount(act.planes).sum(axis=-1, dtype=np.int32),
+        blocks=blocks,
+    )
 
-    if layer.outliers:
-        w_codes = layer.out_codes.astype(np.int64)
-        a_codes = act.out_codes.astype(np.int64)
-        dot = w_codes @ a_codes.T
-        sw = w_codes.sum(axis=1)
-        sa = a_codes.sum(axis=1)
-        w_scale = np.asarray(layer.out_scale, dtype=np.float64)
-        w_zero = np.asarray(layer.out_zero, dtype=np.float64)
-        a_scale = act.out_scale
-        a_zero = act.out_zero
-        corrected = (
-            dot
-            - a_zero[None, :] * sw[:, None]
-            - w_zero[:, None] * sa[None, :]
-            + layer.outliers * w_zero[:, None] * a_zero[None, :]
-        )
-        acc += w_scale[:, None] * a_scale[None, :] * corrected
 
-    return acc.T.copy()
+def _outlier_tail(layer: QuantizedLinear, act: ActBitplanes) -> np.ndarray:
+    """INT8 outlier channels' contribution, shape (tokens, rows).
+
+    The sum over outlier channels of (a - za)(w - zw) is one float64
+    product [a, za, sum a, K za] @ [w, -sum w, -zw, zw]^T. With the integer
+    zero points the quantizers produce, every partial sum is an integer
+    below 2^53 (the code part at most K * 255^2), so the product is exact.
+    """
+    k = layer.outliers
+    a_side = np.empty((act.tokens, k + 3))
+    a_side[:, :k] = act.out_codes
+    a_side[:, k:] = np.column_stack([act.out_zero, a_side[:, :k].sum(axis=1), k * act.out_zero])
+    w_side = np.empty((layer.rows, k + 3))
+    w_side[:, :k] = layer.out_codes
+    w_zero = np.asarray(layer.out_zero, dtype=np.float64)
+    w_side[:, k:] = np.column_stack([-w_side[:, :k].sum(axis=1), -w_zero, w_zero])
+    tail = a_side @ w_side.T
+    tail *= np.asarray(layer.out_scale, dtype=np.float64)
+    tail *= act.out_scale[:, None]
+    return tail
+
+
+def _coefficients(layer: QuantizedLinear):
+    """float64 coefficients of (v, v1, r1), shape (3, rows, groups) with
+    rows innermost in memory like the popcount blocks, and of r, shape
+    (groups, rows).
+
+    With v0 = v - v1 and r0 = r - r1 the per-subgroup sum
+    a0(2v0 - r0) + b0 r0 + a1(2v1 - r1) + b1 r1 equals
+    2a0 v + 2(a1 - a0) v1 + (a0 - a1 + b1 - b0) r1 + (b0 - a0) r.
+    """
+    (a0, b0), (a1, b1) = np.asarray(layer.affine, dtype=np.float64).transpose(2, 3, 1, 0)
+    coef = np.stack([2 * a0, 2 * (a1 - a0), a0 - a1 + b1 - b0], axis=1).transpose(1, 2, 0)
+    return coef, b0 - a0
+
+
+def forward(layer: QuantizedLinear, act: ActBitplanes) -> np.ndarray:
+    """Bit-count forward pass, output shape (tokens, rows)."""
+    _check_compatible(layer, act)
+    # the tail and the coefficients first: their temporaries are gone
+    # before the counts' arrive
+    out = _outlier_tail(layer, act)
+    coef, coef_r = _coefficients(layer)
+    c = counts(layer, act)
+
+    const = np.einsum("krg,krg->gr", coef, c.ones) + layer.group_size * coef_r
+    out += act.shift @ const
+    out += np.einsum("tga,tga->tg", act.plane_scales, c.planes) @ coef_r
+    scales = np.ascontiguousarray(act.plane_scales.transpose(1, 2, 0))  # (groups, 4, tokens)
+    for tok, grp, block in c.blocks:
+        scaled = np.einsum("krgat,gat->krgt", block, scales[grp, :, tok])
+        out[tok] += np.einsum("krg,krgt->tr", coef[:, :, grp], scaled)
+    return out
 
 
 def forward_reference(layer: QuantizedLinear, act: ActBitplanes) -> np.ndarray:
@@ -181,7 +270,7 @@ def _bench_config(c_in: int):
     return group, outliers
 
 
-def bench_forward(shapes, iters: int = 50, seed: int = 0):
+def bench_forward(shapes, iters: int = 20, seed: int = 0):
     """Median wall-clock of forward vs a dense float32 GEMM per shape.
 
     Returns a list of row dicts. Two warm-up runs precede the timed ones.

@@ -7,11 +7,8 @@ the serialized formats.
 """
 
 import sys
-from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DataError
 
 if sys.byteorder != "little":
     raise ImportError("packed bit layout requires a little-endian platform")
@@ -47,49 +44,3 @@ def unpack_bits(words, nbits: int) -> np.ndarray:
 def popcount(words) -> np.ndarray:
     return np.bitwise_count(np.asarray(words, dtype=np.uint64))
 
-
-@dataclass
-class BitBlock:
-    """One group of channel bits: ceil(B/64) words, B valid bits."""
-
-    words: np.ndarray
-    valid_bits: int
-
-    @classmethod
-    def from_bits(cls, bits) -> "BitBlock":
-        bits = np.asarray(bits, dtype=np.uint8).ravel()
-        return cls(words=pack_bits(bits), valid_bits=bits.size)
-
-    def to_bits(self) -> np.ndarray:
-        return unpack_bits(self.words, self.valid_bits)
-
-    def popcount(self) -> int:
-        return int(popcount(self.words).sum())
-
-    def _check_compatible(self, other: "BitBlock") -> None:
-        if self.valid_bits != other.valid_bits:
-            raise DataError(
-                f"bit length mismatch: {self.valid_bits} vs {other.valid_bits}"
-            )
-
-    def __and__(self, other: "BitBlock") -> "BitBlock":
-        self._check_compatible(other)
-        return BitBlock(self.words & other.words, self.valid_bits)
-
-    def __xor__(self, other: "BitBlock") -> "BitBlock":
-        self._check_compatible(other)
-        return BitBlock(self.words ^ other.words, self.valid_bits)
-
-    def __invert__(self) -> "BitBlock":
-        # padding must stay zero after complement
-        inv = ~self.words
-        return BitBlock(_mask_padding(inv, self.valid_bits), self.valid_bits)
-
-
-def _mask_padding(words: np.ndarray, valid_bits: int) -> np.ndarray:
-    words = words.copy()
-    tail = valid_bits % WORD_BITS
-    if tail:
-        keep = np.uint64((1 << tail) - 1)
-        words[..., -1] &= keep
-    return words

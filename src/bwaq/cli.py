@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="time the bit kernel against a float GEMM")
     b.add_argument("--shapes", default="1x4096x4096,128x4096x4096")
-    b.add_argument("--iters", type=int, default=50)
+    b.add_argument("--iters", type=int, default=20)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--csv", action="store_true")
     b.add_argument("--json", action="store_true")

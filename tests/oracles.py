@@ -1,12 +1,16 @@
 """Independent brute-force references for the test suite.
 
-These deliberately share no code with the package under test: plain loops
-and an interval dynamic program only. Do not import anything from bwaq here.
+These deliberately share no code with the package under test: plain loops,
+an interval dynamic program and numpy's own bit packing only. The one import
+from bwaq is its DataError, which the scalar bit blocks raise on a length
+mismatch as they did when they lived in the package.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from bwaq.errors import DataError
 
 
 @dataclass
@@ -140,6 +144,79 @@ def naive_counts(q_bits, b_bits, m_bits):
             r0 += bi
     return v0, v1, r0, r1
 
+
+
+@dataclass
+class BitBlock:
+    """One group of channel bits: ceil(B/64) uint64 words, B valid bits,
+    LSB-first, padding bits zero."""
+
+    words: np.ndarray
+    valid_bits: int
+
+    @classmethod
+    def from_bits(cls, bits) -> "BitBlock":
+        bits = np.asarray(bits, dtype=np.uint8).ravel()
+        nbytes = 8 * ((bits.size + 63) // 64)
+        packed = np.zeros(nbytes, dtype=np.uint8)
+        packed[: (bits.size + 7) // 8] = np.packbits(bits, bitorder="little")
+        return cls(words=packed.view(np.uint64), valid_bits=bits.size)
+
+    def to_bits(self) -> np.ndarray:
+        as_bytes = np.ascontiguousarray(self.words, dtype=np.uint64).view(np.uint8)
+        return np.unpackbits(as_bytes, bitorder="little")[: self.valid_bits]
+
+    def popcount(self) -> int:
+        return int(np.bitwise_count(self.words).sum())
+
+    def _check_compatible(self, other: "BitBlock") -> None:
+        if self.valid_bits != other.valid_bits:
+            raise DataError(
+                f"bit length mismatch: {self.valid_bits} vs {other.valid_bits}"
+            )
+
+    def __and__(self, other: "BitBlock") -> "BitBlock":
+        self._check_compatible(other)
+        return BitBlock(self.words & other.words, self.valid_bits)
+
+    def __xor__(self, other: "BitBlock") -> "BitBlock":
+        self._check_compatible(other)
+        return BitBlock(self.words ^ other.words, self.valid_bits)
+
+    def __invert__(self) -> "BitBlock":
+        # padding must stay zero after complement
+        inv = ~self.words
+        return BitBlock(_mask_padding(inv, self.valid_bits), self.valid_bits)
+
+
+def _mask_padding(words: np.ndarray, valid_bits: int) -> np.ndarray:
+    words = words.copy()
+    tail = valid_bits % 64
+    if tail:
+        keep = np.uint64((1 << tail) - 1)
+        words[..., -1] &= keep
+    return words
+
+
+def popc_and(x: BitBlock, y: BitBlock) -> int:
+    """Number of positions where both blocks have a 1 bit."""
+    return (x & y).popcount()
+
+
+def group_counts(q: BitBlock, b: BitBlock, m: BitBlock):
+    """Subgroup bit counts for one (row, group, plane) triple.
+
+    Convention: mask bit 1 means the channel belongs to subgroup 1.
+    Returns (v0, v1, r0, r1) with e = q & b:
+        v1 = popc(e & m), v0 = popc(e & ~m),
+        r1 = popc(b & m), r0 = popc(b & ~m).
+    """
+    e = q & b
+    v1 = popc_and(e, m)
+    v0 = popc_and(e, ~m)
+    r1 = popc_and(b, m)
+    r0 = popc_and(b, ~m)
+    return v0, v1, r0, r1
 
 def naive_rtn(x, bits: int, clip: float = 1.0):
     """Scalar-loop asymmetric RTN over a 1-D vector; returns (codes, mu, z).

@@ -17,7 +17,6 @@ from bwaq import (
     em_binarize,
     forward,
     forward_reference,
-    group_counts,
     layer_nbytes,
     model_nbytes,
     quantize_linear,
@@ -27,9 +26,9 @@ from bwaq import (
 )
 from bwaq.actquant import quantize_activations, reconstruct
 from bwaq.bitkernel import bench_forward, random_activations, random_layer
-from bwaq.bits import BitBlock, unpack_bits
+from bwaq.bits import unpack_bits
 
-from oracles import dp_optimal_clusters, naive_counts
+from oracles import BitBlock, dp_optimal_clusters, group_counts, naive_counts
 
 
 def test_criterion_1_kernel_oracle_equivalence():

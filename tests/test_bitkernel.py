@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bwaq import DataError, QuantizedLinear, forward, forward_reference, group_counts, popc_and
+from bwaq import DataError, QuantizedLinear, bitkernel, forward, forward_reference
 from bwaq.actquant import ActBitplanes, decompose_bitplanes, quantize_activations
-from bwaq.bitkernel import bench_forward, random_activations, random_layer
-from bwaq.bits import BitBlock, pack_bits, unpack_bits
+from bwaq.bitkernel import bench_forward, counts, random_activations, random_layer
+from bwaq.bits import pack_bits, unpack_bits
 
-from oracles import naive_counts
+from oracles import BitBlock, group_counts, naive_counts, popc_and
 
 
 def _block(bits):
@@ -212,6 +214,115 @@ class TestForward:
         from bwaq.actquant import reconstruct
 
         assert np.allclose(forward_reference(layer, act), reconstruct(act), rtol=1e-12)
+
+
+def _naive_layer_counts(layer, act):
+    """Plane, constant-ones and per-plane counts from oracles.naive_counts,
+    laid out as counts() lays them out."""
+    b = layer.group_size
+    q = unpack_bits(layer.signs, b).tolist()
+    m = unpack_bits(layer.mask, b).tolist()
+    p = unpack_bits(act.planes, b).tolist()
+    ones = [1] * b
+    blocks = np.zeros((3, layer.rows, layer.n_groups, 4, act.tokens))
+    const = np.zeros((3, layer.rows, layer.n_groups))
+    planes = np.zeros((act.tokens, layer.n_groups, 4))
+    for r in range(layer.rows):
+        for g in range(layer.n_groups):
+            v0, v1, _, r1 = naive_counts(q[r][g], ones, m[r][g])
+            const[:, r, g] = v0 + v1, v1, r1
+            for t in range(act.tokens):
+                for a in range(4):
+                    v0, v1, r0, r1 = naive_counts(q[r][g], p[t][g][a], m[r][g])
+                    blocks[:, r, g, a, t] = v0 + v1, v1, r1
+                    planes[t, g, a] = r0 + r1
+    return const, planes, blocks
+
+
+def _dense_counts(layer, act):
+    """counts() with its blocks assembled; checks that the blocks cover every
+    (token, group) exactly once."""
+    c = counts(layer, act)
+    dense = np.zeros((3, layer.rows, layer.n_groups, 4, act.tokens))
+    cover = np.zeros((layer.n_groups, act.tokens), dtype=np.int64)
+    for tok, grp, block in c.blocks:
+        dense[:, :, grp, :, tok] = block
+        cover[grp, tok] += 1
+    assert np.all(cover == 1)
+    return c.ones, c.planes, dense
+
+
+def _spy(monkeypatch, name, calls):
+    original = getattr(bitkernel, name)
+
+    def spy(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(bitkernel, name, spy)
+
+
+class TestCounts:
+    """Both count backends against each other and the scalar oracle."""
+
+    @pytest.mark.parametrize("outliers", [0, 128])
+    @pytest.mark.parametrize("group", [64, 128, 70])
+    @pytest.mark.parametrize("tokens", [1, 2, 3, 4, 5, 17, bitkernel.GEMM_TOKENS + 5])
+    def test_backends_match_each_other_and_naive(self, monkeypatch, tokens, group, outliers):
+        rng = np.random.default_rng([tokens, group, outliers])
+        layer = random_layer(rng, 3, outliers + 2 * group, group, outliers)
+        act = random_activations(rng, tokens, layer, corrections=True)
+        want = _naive_layer_counts(layer, act)
+        reference = forward_reference(layer, act)
+        scale = np.abs(reference).max() + 1e-12
+        for name, threshold in (("_popcount_blocks", 10**9), ("_gemm_blocks", 1)):
+            calls = []
+            _spy(monkeypatch, name, calls)
+            monkeypatch.setattr(bitkernel, "GEMM_MIN_TOKENS", threshold)
+            got = _dense_counts(layer, act)
+            assert calls == [name]
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), name
+            assert np.abs(forward(layer, act) - reference).max() <= 1e-9 * scale
+
+    def test_default_backend_by_token_count(self, monkeypatch, rng):
+        layer = random_layer(rng, 4, 256, 128, 0)
+        for tokens in (1, bitkernel.GEMM_MIN_TOKENS - 1, bitkernel.GEMM_MIN_TOKENS, 40):
+            calls = []
+            _spy(monkeypatch, "_gemm_blocks", calls)
+            _spy(monkeypatch, "_popcount_blocks", calls)
+            counts(layer, random_activations(rng, tokens, layer))
+            gemm = tokens >= bitkernel.GEMM_MIN_TOKENS
+            assert calls == ["_gemm_blocks" if gemm else "_popcount_blocks"]
+
+    def test_group_beyond_float32_bound_never_uses_gemm(self, monkeypatch, rng):
+        # the guard compares the group size with 2^24; lowering the bound
+        # to the group size exercises it without a 2^24-bit layer
+        layer = random_layer(rng, 5, 128 + 2 * 64, 64, 128)
+        act = random_activations(rng, 2 * bitkernel.GEMM_MIN_TOKENS + 1, layer)
+        monkeypatch.setattr(bitkernel, "GEMM_MAX_GROUP", 64)
+        calls = []
+        _spy(monkeypatch, "_gemm_blocks", calls)
+        got = _dense_counts(layer, act)
+        assert calls == []
+        for g, w in zip(got, _naive_layer_counts(layer, act)):
+            assert np.array_equal(g, w)
+        want = forward_reference(layer, act)
+        assert np.abs(forward(layer, act) - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_peak_memory_does_not_grow_with_batch(self):
+        rng = np.random.default_rng(7)
+        layer = random_layer(rng, 1024, 1024, 128, 128)
+        act = random_activations(rng, 1024, layer)
+        tracemalloc.start()
+        try:
+            out = forward(layer, act)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1024, 1024)
+        # the 8 MB float64 output is part of the peak
+        assert peak <= 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestBench:

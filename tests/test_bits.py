@@ -4,7 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bwaq import DataError
-from bwaq.bits import BitBlock, pack_bits, popcount, unpack_bits, words_for
+from bwaq.bits import pack_bits, popcount, unpack_bits, words_for
+
+from oracles import BitBlock
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
