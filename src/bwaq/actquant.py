@@ -11,7 +11,7 @@ tokens in any order yields identical output.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -174,56 +174,99 @@ def reconstruct_outliers(bp: ActBitplanes) -> np.ndarray:
     return bp.out_scale[:, None] * (codes - bp.out_zero[:, None])
 
 
+def _scale_deltas(err, codes, mu, plane_scales) -> np.ndarray:
+    """Balancing moves of the plane scales, shape (tokens, groups, 4).
+
+    err is the residual x - mu * (code - z) and codes the INT4 codes, both
+    (tokens, groups, B). Each element's ratio E / (mu * code) is summed per
+    plane over the elements whose code has bit a set, straight from the
+    codes; the move is plane_scale * sum / count, and 0 for an empty plane.
+    """
+    core = mu[..., None] * codes.astype(np.float64)
+    ratio = np.divide(err, core, out=np.zeros_like(err), where=codes > 0)
+    codes = codes.astype(np.uint8)
+    member_sum = np.empty(plane_scales.shape)
+    member_cnt = np.empty(plane_scales.shape)
+    for a in range(4):
+        bit = ((codes >> a) & 1).astype(np.float64)
+        member_sum[..., a] = np.einsum("tgb,tgb->tg", bit, ratio)
+        member_cnt[..., a] = bit.sum(axis=-1)
+    return np.where(
+        member_cnt > 0, plane_scales * member_sum / np.maximum(member_cnt, 1.0), 0.0
+    )
+
+
 def balance_scales(x_fp, bp: ActBitplanes) -> ActBitplanes:
     """Distribute the residual quantization error over the plane scales.
 
     For each (token, group) and plane a, the scale moves by the mean of
     mu_a * E / (mu * code) over the elements whose bit a is set. This zeroes
     the first-order (mean) residual of the nonzero-code elements. Groups
-    whose codes are all zero are left untouched.
+    whose codes are all zero are left untouched. The per-plane sums come
+    from the uint8 codes, one plane at a time (shared with
+    plane_corrections); the residual is taken against reconstruct(bp), so
+    any plane scales are honoured.
     """
     x_fp = np.asarray(x_fp, dtype=np.float64)
     recon = reconstruct(bp)
     if x_fp.shape != recon.shape:
         raise DataError(f"shape mismatch: {x_fp.shape} vs reconstruction {recon.shape}")
-    tokens, n_groups, b = bp.planes.shape[0], bp.n_groups, bp.group_size
-    codes = bp.codes().astype(np.float64)
-    err = (x_fp - recon).reshape(tokens, n_groups, b)
-    core = bp.mu[..., None] * codes
-    nonzero = codes > 0
-    ratio = np.where(nonzero, err / np.where(nonzero, core, 1.0), 0.0)
-    bits = unpack_bits(bp.planes, b).astype(np.float64)
-    member_sum = np.einsum("tgab,tgb->tga", bits, ratio)
-    member_cnt = bits.sum(axis=-1)
-    delta = np.where(
-        member_cnt > 0, bp.plane_scales * member_sum / np.maximum(member_cnt, 1.0), 0.0
-    )
-    skipped = int(np.sum(~nonzero.any(axis=-1)))
+    codes = bp.codes()
+    err = (x_fp - recon).reshape(codes.shape)
+    delta = _scale_deltas(err, codes, bp.mu, bp.plane_scales)
+    skipped = int(np.sum(~codes.any(axis=-1)))
     if skipped:
         log.debug("balance_scales: %d all-zero groups skipped", skipped)
-    return ActBitplanes(
-        tokens=bp.tokens,
-        group_size=bp.group_size,
-        outliers=bp.outliers,
-        perm=bp.perm,
-        planes=bp.planes,
-        mu=bp.mu,
-        zero=bp.zero,
-        plane_scales=bp.plane_scales + delta,
-        shift=bp.shift,
-        out_codes=bp.out_codes,
-        out_scale=bp.out_scale,
-        out_zero=bp.out_zero,
-    )
+    return replace(bp, plane_scales=bp.plane_scales + delta)
+
+
+# Calibration tokens per block in plane_corrections: bounds its temporaries,
+# so peak memory does not grow with the calibration set.
+PLANE_CORR_TOKENS = 256
 
 
 def plane_corrections(x, layer) -> np.ndarray:
     """Per-(group, plane) multiplicative corrections learned from calibration
-    data: the token-averaged ratio of balanced to unbalanced plane scales."""
-    bp = quantize_activations(
-        x, layer.group_size, layer.outliers, perm=layer.perm, plane_corr=None
-    )
-    x_perm = np.asarray(x, dtype=np.float64)[:, layer.perm]
-    balanced = balance_scales(x_perm[:, : bp.n_groups * bp.group_size], bp)
-    ratio = balanced.plane_scales / bp.plane_scales
+    data: the token-averaged ratio of balanced to unbalanced plane scales.
+
+    The tokens are walked in blocks of PLANE_CORR_TOKENS. Each block's
+    binarized channels are RTN-quantized once, and the balancing of
+    balance_scales runs on the INT4 codes directly: with unit scales the
+    reconstruction is exactly mu * (code - z), so no bit planes are packed
+    or unpacked. The per-token ratios land in one (tokens, groups, 4) array
+    whose mean is taken once, so the result does not depend on the block
+    size. The outlier channels only have to be finite.
+    """
+    x = np.asarray(x)
+    if x.ndim != 2:
+        raise DataError(f"activations must be 2-D, got shape {x.shape}")
+    tokens, c_in = x.shape
+    perm = np.asarray(layer.perm, dtype=np.int64)
+    if perm.shape != (c_in,):
+        raise DataError(f"perm length {perm.shape} does not match {c_in} channels")
+    b = layer.group_size
+    n_bin = c_in - layer.outliers
+    if n_bin < 0 or n_bin % b != 0:
+        raise DataError(
+            f"cannot split {c_in} channels into groups of {b} "
+            f"with {layer.outliers} outliers"
+        )
+    n_groups = n_bin // b
+    binarized = perm[:n_bin]
+    ratio = np.empty((tokens, n_groups, 4))
+    skipped = 0
+    for start in range(0, tokens, PLANE_CORR_TOKENS):
+        blk = slice(start, start + PLANE_CORR_TOKENS)
+        xb = np.asarray(x[blk], dtype=np.float64)
+        if not np.isfinite(xb).all():
+            raise DataError("non-finite activation values")
+        grouped = xb[:, binarized].reshape(-1, n_groups, b)
+        codes, mu, z = rtn_quantize(grouped, 4)
+        recon = mu[..., None] * (codes - z[..., None])
+        scales = np.ldexp(mu[..., None], np.arange(4))
+        delta = _scale_deltas(grouped - recon, codes, mu, scales)
+        ratio[blk] = (scales + delta) / scales
+        skipped += int(np.sum(~codes.any(axis=-1)))
+    if skipped:
+        log.debug("plane_corrections: %d all-zero groups skipped", skipped)
     return ratio.mean(axis=0).astype(np.float32)

@@ -95,6 +95,15 @@ def cmd_quantize(args) -> int:
 
 @dataclass
 class EvalReport:
+    """What `bwaq eval` reports.
+
+    per_layer_mse[i] is the relative MSE of quantized layer i's output
+    against the float stack's layer-i output. Layer i runs on the quantized
+    stack's input, so the value is the error accumulated up to that depth,
+    not layer i's own error; end_to_end_mse is the last layer's.
+    weighted_weight_error[i] is layer i's Hessian-weighted weight error.
+    """
+
     per_layer_mse: list
     end_to_end_mse: float
     weighted_weight_error: list

@@ -245,3 +245,46 @@ def _round_half_even(x: float) -> float:
     if d < 0.5:
         return f
     return f if f % 2 == 0 else f + 1
+
+
+def plane_corrections_reference(x, layer) -> np.ndarray:
+    """The retired plane-correction path, written out in full: quantize the
+    permuted binarized channels to INT4, unpack all four bit planes to one
+    float64 (tokens, groups, 4, B) tensor, reconstruct through it, balance
+    the plane scales on the residual, and average the balanced/unbalanced
+    ratio over tokens. The outlier tail only has to be finite.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise DataError(f"activations must be 2-D, got shape {x.shape}")
+    tokens, c_in = x.shape
+    perm = np.asarray(layer.perm, dtype=np.int64)
+    if perm.shape != (c_in,):
+        raise DataError("perm length does not match the channels")
+    b = layer.group_size
+    n_bin = c_in - layer.outliers
+    if n_bin < 0 or n_bin % b != 0:
+        raise DataError("channels do not split into groups")
+    if not np.isfinite(x).all():
+        raise DataError("non-finite activation values")
+    grouped = x[:, perm][:, :n_bin].reshape(tokens, n_bin // b, b)
+    lo = grouped.min(axis=-1)
+    hi = grouped.max(axis=-1)
+    mu = (hi - lo) / 15.0
+    mu = np.where(mu > 0, mu, 1.0)
+    z = -np.rint(lo / mu)
+    codes = np.clip(np.rint(grouped / mu[..., None]) + z[..., None], 0, 15)
+    c8 = codes.astype(np.uint8)
+    bits = np.stack([(c8 >> a) & 1 for a in range(4)], axis=-2).astype(np.float64)
+    scales = np.stack([np.ldexp(mu, a) for a in range(4)], axis=-1)
+    level = np.einsum("tgab,tga->tgb", bits, scales / mu[..., None])
+    err = grouped - mu[..., None] * (level - z[..., None])
+    nonzero = codes > 0
+    core = mu[..., None] * codes
+    ratio = np.where(nonzero, err / np.where(nonzero, core, 1.0), 0.0)
+    member_sum = np.einsum("tgab,tgb->tga", bits, ratio)
+    member_cnt = bits.sum(axis=-1)
+    delta = np.where(
+        member_cnt > 0, scales * member_sum / np.maximum(member_cnt, 1.0), 0.0
+    )
+    return ((scales + delta) / scales).mean(axis=0).astype(np.float32)

@@ -25,10 +25,10 @@ from bwaq import (
     write_model,
 )
 from bwaq.actquant import quantize_activations, reconstruct
-from bwaq.bitkernel import bench_forward, random_activations, random_layer
+from bwaq.bitkernel import bench_forward, counts, random_activations, random_layer
 from bwaq.bits import unpack_bits
 
-from oracles import BitBlock, dp_optimal_clusters, group_counts, naive_counts
+from oracles import dp_optimal_clusters, naive_counts
 
 
 def test_criterion_1_kernel_oracle_equivalence():
@@ -54,21 +54,22 @@ def test_criterion_1_kernel_oracle_equivalence():
         worst_rel = max(worst_rel, rel)
         assert rel <= 1e-4, f"pair {i}: relative error {rel}"
 
+        kernel_counts = counts(layer, act)
+        kernel = np.zeros((3, rows, n_groups, 4, tokens))
+        for tok, grp, block in kernel_counts.blocks:
+            kernel[:, :, grp, :, tok] = block
         for _ in range(2):
             r = int(rng.integers(rows))
             g = int(rng.integers(n_groups))
             t = int(rng.integers(tokens))
             a = int(rng.integers(4))
-            q = BitBlock(layer.signs[r, g].copy(), group)
-            m = BitBlock(layer.mask[r, g].copy(), group)
-            b = BitBlock(act.planes[t, g, a].copy(), group)
-            got_counts = group_counts(q, b, m)
-            want_counts = naive_counts(
-                unpack_bits(q.words, group).tolist(),
-                unpack_bits(b.words, group).tolist(),
-                unpack_bits(m.words, group).tolist(),
+            v0, v1, r0, r1 = naive_counts(
+                unpack_bits(layer.signs[r, g], group).tolist(),
+                unpack_bits(act.planes[t, g, a], group).tolist(),
+                unpack_bits(layer.mask[r, g], group).tolist(),
             )
-            assert got_counts == want_counts, f"pair {i}: count mismatch"
+            got_counts = kernel[:, r, g, a, t].tolist() + [kernel_counts.planes[t, g, a]]
+            assert got_counts == [v0 + v1, v1, r1, r0 + r1], f"pair {i}: count mismatch"
     elapsed = time.perf_counter() - t0
     assert elapsed < 120, f"criterion 1 took {elapsed:.1f}s"
     print(

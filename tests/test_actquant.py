@@ -1,13 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bwaq import DataError, balance_scales, decompose_bitplanes, rtn_dequantize, rtn_quantize
-from bwaq.actquant import ActBitplanes, quantize_activations, reconstruct
+from bwaq.actquant import (
+    PLANE_CORR_TOKENS,
+    ActBitplanes,
+    plane_corrections,
+    quantize_activations,
+    reconstruct,
+)
+from bwaq.bitkernel import random_layer
 from bwaq.bits import pack_bits
 
-from oracles import naive_rtn
+from oracles import naive_rtn, plane_corrections_reference
 
 
 class TestRtnQuantize:
@@ -194,3 +203,71 @@ class TestQuantizeActivations:
         scaled = quantize_activations(x, group_size=16, outliers=0, plane_corr=corr)
         assert np.allclose(scaled.plane_scales, 1.5 * plain.plane_scales)
         assert np.array_equal(scaled.planes, plain.planes)
+
+
+def _degenerate_rows(x, layer, kind):
+    """Overwrite every even token with a degenerate case."""
+    rows = x[::2]
+    binarized = layer.perm[: layer.cols - layer.outliers]
+    if kind == "constant":  # every group quantizes to all-zero codes
+        rows[:] = 0.37
+    elif kind == "single":  # one nonzero code per group
+        rows[:, binarized] = 0.0
+        rows[:, binarized[:: layer.group_size]] = 1.0
+    elif kind == "offset":
+        rows += 1e6
+
+
+class TestPlaneCorrections:
+    @pytest.mark.parametrize("kind", ["normal", "constant", "single", "offset"])
+    @pytest.mark.parametrize("outliers", [0, 128])
+    @pytest.mark.parametrize("group", [16, 70, 128])
+    @pytest.mark.parametrize(
+        "tokens", [1, PLANE_CORR_TOKENS - 1, PLANE_CORR_TOKENS, PLANE_CORR_TOKENS + 1, 1000]
+    )
+    def test_matches_reference(self, tokens, group, outliers, kind):
+        rng = np.random.default_rng([tokens, group, outliers])
+        layer = random_layer(rng, 1, outliers + 3 * group, group, outliers)
+        x = rng.normal(size=(tokens, layer.cols)) * rng.uniform(0.1, 10, size=layer.cols)
+        _degenerate_rows(x, layer, kind)
+        got = plane_corrections(x, layer)
+        assert got.dtype == np.float32 and got.shape == (3, 4)
+        assert np.array_equal(got, plane_corrections_reference(x, layer))
+
+    def test_nan_in_outlier_channel_rejected(self, rng):
+        layer = random_layer(rng, 1, 128 + 2 * 64, 64, 128)
+        x = rng.normal(size=(PLANE_CORR_TOKENS + 5, layer.cols))
+        x[PLANE_CORR_TOKENS + 2, layer.perm[-1]] = np.nan
+        with pytest.raises(DataError):
+            plane_corrections(x, layer)
+
+    def test_inf_in_binarized_channel_rejected(self, rng):
+        layer = random_layer(rng, 1, 128 + 2 * 64, 64, 128)
+        x = rng.normal(size=(8, layer.cols))
+        x[3, layer.perm[0]] = np.inf
+        with pytest.raises(DataError):
+            plane_corrections(x, layer)
+
+    def test_wrong_perm_length_rejected(self, rng):
+        layer = random_layer(rng, 1, 2 * 64, 64, 0)
+        with pytest.raises(DataError):
+            plane_corrections(rng.normal(size=(8, 2 * 64 + 1)), layer)
+
+    def test_one_dimensional_input_rejected(self, rng):
+        layer = random_layer(rng, 1, 2 * 64, 64, 0)
+        with pytest.raises(DataError):
+            plane_corrections(rng.normal(size=2 * 64), layer)
+
+    def test_peak_memory_does_not_grow_with_tokens(self):
+        rng = np.random.default_rng(11)
+        layer = random_layer(rng, 1, 1024, 128, 128)
+        x = rng.normal(size=(8192, 1024))
+        peaks = []
+        for tokens in (1024, 8192):
+            tracemalloc.start()
+            try:
+                plane_corrections(x[:tokens], layer)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], [p / 2**20 for p in peaks]

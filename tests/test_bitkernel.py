@@ -73,13 +73,6 @@ class TestGroupCounts:
         assert got == naive_counts(q.tolist(), b.tolist(), m.tolist())
 
 
-def _counts_from_layer(layer, act, row, group, token, plane):
-    q = BitBlock(layer.signs[row, group].copy(), layer.group_size)
-    m = BitBlock(layer.mask[row, group].copy(), layer.group_size)
-    b = BitBlock(act.planes[token, group, plane].copy(), layer.group_size)
-    return q, b, m
-
-
 class TestForward:
     def test_zero_affine_zero_outliers_gives_zero(self, rng):
         layer = random_layer(rng, 8, 128, 64, 0)
@@ -146,19 +139,19 @@ class TestForward:
     def test_counts_match_naive_on_sampled_blocks(self, rng):
         layer = random_layer(rng, 16, 256, 128, 0)
         act = random_activations(rng, 4, layer)
+        _, planes, blocks = _dense_counts(layer, act)
         for _ in range(50):
             row = int(rng.integers(16))
             token = int(rng.integers(4))
             group = int(rng.integers(2))
             plane = int(rng.integers(4))
-            q, b, m = _counts_from_layer(layer, act, row, group, token, plane)
-            got = group_counts(q, b, m)
-            want = naive_counts(
-                unpack_bits(q.words, 128).tolist(),
-                unpack_bits(b.words, 128).tolist(),
-                unpack_bits(m.words, 128).tolist(),
+            v0, v1, r0, r1 = naive_counts(
+                unpack_bits(layer.signs[row, group], 128).tolist(),
+                unpack_bits(act.planes[token, group, plane], 128).tolist(),
+                unpack_bits(layer.mask[row, group], 128).tolist(),
             )
-            assert got == want
+            assert blocks[:, row, group, plane, token].tolist() == [v0 + v1, v1, r1]
+            assert planes[token, group, plane] == r0 + r1
 
     def test_linearity_in_plane_scales(self, rng):
         # same codes, scales split across two calls: forwards must add up
