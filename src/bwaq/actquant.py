@@ -160,13 +160,18 @@ def reconstruct(bp: ActBitplanes) -> np.ndarray:
 
     Evaluated as mu * (sum_a (mu_a/mu) * b_a - z). With unbalanced scales the
     inner sum is the exact integer code, so the result is bit-identical to
-    rtn_dequantize of the codes.
+    rtn_dequantize of the codes. The planes are unpacked one at a time, so
+    the temporaries stay at two float64 values per element.
     """
-    bits = unpack_bits(bp.planes, bp.group_size).astype(np.float64)
     ratios = bp.plane_scales / bp.mu[..., None]
-    level = np.einsum("tgab,tga->tgb", bits, ratios)
-    recon = bp.mu[..., None] * (level - bp.zero[..., None])
-    return recon.reshape(bp.tokens, -1)
+    level = np.zeros((bp.tokens, bp.n_groups, bp.group_size))
+    term = np.empty_like(level)
+    for a in range(4):
+        bits = unpack_bits(bp.planes[:, :, a], bp.group_size)
+        level += np.multiply(bits, ratios[..., a, None], out=term)
+    level -= bp.zero[..., None]
+    level *= bp.mu[..., None]
+    return level.reshape(bp.tokens, -1)
 
 
 def reconstruct_outliers(bp: ActBitplanes) -> np.ndarray:
@@ -223,6 +228,12 @@ def balance_scales(x_fp, bp: ActBitplanes) -> ActBitplanes:
 # Calibration tokens per block in plane_corrections: bounds its temporaries,
 # so peak memory does not grow with the calibration set.
 PLANE_CORR_TOKENS = 256
+# Plane corrections are multiples of 1/CORR_GRID. Such values are exact in
+# float32, and on this grid a group's four corrected plane scales are
+# mu/CORR_GRID times integers, so the kernel can fold the planes into one
+# integer level per element. Learned corrections lie within 0.5% of 1; on
+# the benchmark's 4x1024 stack the rounding moved the output error by ~0.02%.
+CORR_GRID = 4096
 
 
 def plane_corrections(x, layer) -> np.ndarray:
@@ -235,7 +246,8 @@ def plane_corrections(x, layer) -> np.ndarray:
     reconstruction is exactly mu * (code - z), so no bit planes are packed
     or unpacked. The per-token ratios land in one (tokens, groups, 4) array
     whose mean is taken once, so the result does not depend on the block
-    size. The outlier channels only have to be finite.
+    size. The float64 mean is rounded to the nearest multiple of
+    1/CORR_GRID. The outlier channels only have to be finite.
     """
     x = np.asarray(x)
     if x.ndim != 2:
@@ -269,4 +281,4 @@ def plane_corrections(x, layer) -> np.ndarray:
         skipped += int(np.sum(~codes.any(axis=-1)))
     if skipped:
         log.debug("plane_corrections: %d all-zero groups skipped", skipped)
-    return ratio.mean(axis=0).astype(np.float32)
+    return (np.rint(ratio.mean(axis=0) * CORR_GRID) / CORR_GRID).astype(np.float32)

@@ -8,19 +8,32 @@ realizes the +/-1 sign mapping. Plane a = -1 is the constant-ones plane with
 coefficient shift = -mu*z; its counts are activation-independent and are
 computed from the sign/mask words directly.
 
+The four planes are folded before the float work. When every plane scale of
+a call is ldexp(mu, a) * k[l,a] / CORR_GRID bit for bit, with one integer k
+per (group, plane) for all tokens (what quantize_activations makes from
+corrections on the grid), each element has the integer level
+c = sum_a 2^a * k[l,a] * b_a, and the plane sum of a count is the count of
+that level times mu / CORR_GRID. Other plane scales are folded per plane in
+float64.
+
 `counts` is the seam between integer and float work. It returns, in blocks
-of groups and tokens, v = popc(q&b), v1 = popc(q&b&m) and r1 = popc(b&m) for
-every (row, token, group, plane); the subgroup-0 counts follow as v - v1 and
-r - r1. Two backends produce these integers and agree on every one:
+of groups and tokens, the folded v = q.c, v1 = (q&m).c and r1 = m.c for
+every (row, group, token); the subgroup-0 parts follow as v - v1 and
+r - r1. Two backends produce them:
 
-- few tokens: popcount on the packed words, all groups in one broadcast;
-- token batches: per group, a float32 GEMM of the unpacked weight bits
-  [q; q&m; m] against the unpacked plane bits. Every partial sum is an
-  integer of at most group_size < 2^24, so float32 holds it exactly.
+- few tokens, or scales off the grid: popcount on the packed words, all
+  groups in one broadcast, folded over the planes in int32 (grid_levels
+  keeps every folded count below 2^31), or with the float64 plane scales
+  off the grid;
+- token batches on the grid: per group, one float32 GEMM of the unpacked
+  weight bits [q; q&m; m] against the levels c. Every partial sum is an
+  integer of at most group_size * max c, and the call takes this path only
+  while that stays below 2^24, so float32 holds it exactly.
 
-One float64 step combines the counts of either backend. The INT8 tail is a
-float64 product whose partial sums are integers below 2^53. forward is a
-pure function over immutable layer data; nothing here mutates the layer.
+Both give the same integers on the grid. One float64 step combines them.
+The INT8 tail is a float64 product whose partial sums are integers below
+2^53. forward is a pure function over immutable layer data; nothing here
+mutates the layer.
 """
 
 import time
@@ -29,39 +42,52 @@ from typing import Iterator
 
 import numpy as np
 
-from .actquant import ActBitplanes, quantize_activations, reconstruct, reconstruct_outliers
+from .actquant import (
+    CORR_GRID,
+    ActBitplanes,
+    quantize_activations,
+    reconstruct,
+    reconstruct_outliers,
+)
 from .bits import pack_bits, popcount, unpack_bits, words_for
 from .errors import DataError
 from .weightquant import QuantizedLinear, dequant_weights
 
 # Calls with at least this many tokens count with GEMMs, smaller ones with
-# popcount. The measured crossover lies at 8-16 tokens for layer widths 1024
-# and 4096, where 12 keeps either choice within about 1.4x of the other,
-# and near 32 tokens for width 256 (table in CHANGES.md).
+# popcount. With four plane products per group the measured crossover lay
+# at 8-16 tokens for layer widths 1024 and 4096 and near 32 for width 256
+# (table in CHANGES.md); with one folded product it is 5-6 tokens on a
+# 4x1024 stack, where GEMMs are 1.2x faster at 12 tokens.
 GEMM_MIN_TOKENS = 12
 # Tokens per GEMM block: bounds the count and combination temporaries, so
 # peak memory does not grow with the batch.
 GEMM_TOKENS = 128
-# float32 represents every integer up to 2^24; a count can reach group_size.
-GEMM_MAX_GROUP = 2**24
+# float32 represents every integer up to 2^24; a GEMM sum can reach
+# group_size times the largest level of its group.
+GEMM_MAX_DOT = 2**24
 
 
 @dataclass
 class Counts:
-    """Exact integer counts of one forward call.
+    """Exact integer counts of one forward call, folded over the planes.
 
     ones:   (3, rows, groups) popc(q), popc(q&m), popc(m): the counts of
             the constant-ones plane.
     planes: (tokens, groups, 4) popc(b) per activation plane.
+    scale:  (groups, tokens) float64 factor of the blocks: mu / CORR_GRID
+            on the grid, 1 off it.
     blocks: (tokens slice, groups slice, counts) triples covering every
-            (token, group) once; counts has shape (3, rows, groups, 4,
-            tokens) and holds popc(q&b), popc(q&b&m), popc(b&m) along its
-            first axis. Both backends yield them lazily; the GEMM backend
-            one group and at most GEMM_TOKENS tokens at a time.
+            (token, group) once; counts has shape (3, rows, groups, tokens)
+            and holds q.c, (q&m).c, m.c along its first axis. On the grid c
+            is the integer level sum_a 2^a k[g,a] b_a and the counts are
+            exact integers; off it the planes are weighted by their float64
+            scales. The GEMM backend yields one group and at most
+            GEMM_TOKENS tokens at a time.
     """
 
     ones: np.ndarray
     planes: np.ndarray
+    scale: np.ndarray
     blocks: Iterator[tuple[slice, slice, np.ndarray]]
 
 
@@ -100,12 +126,35 @@ def _weight_words(layer: QuantizedLinear) -> np.ndarray:
     return words
 
 
-def _popcount_blocks(words: np.ndarray, act: ActBitplanes):
-    """Counts by popcount on the packed words, every group in one broadcast.
+def grid_levels(act: ActBitplanes):
+    """Integer plane weights 2^a * k[g, a], int32 of shape (groups, 4).
+
+    Returned when every plane scale is ldexp(mu, a) * (k[g, a] / CORR_GRID)
+    bit for bit, with one integer k >= 0 per (group, plane) for every
+    token, and every folded count (at most group_size * sum_a 2^a k[g, a])
+    stays below 2^31; None otherwise.
+    """
+    if act.tokens == 0:
+        return None
+    base = np.ldexp(act.mu[..., None], np.arange(4))
+    with np.errstate(all="ignore"):
+        k = np.rint(act.plane_scales[0] / base[0] * CORR_GRID)
+        levels = np.ldexp(k, np.arange(4))
+    if not (np.isfinite(k).all() and (k >= 0).all()):
+        return None
+    if act.group_size * levels.sum(axis=1).max(initial=0) >= 2**31:
+        return None
+    if not np.array_equal(act.plane_scales, base * (k / CORR_GRID)):
+        return None
+    return levels.astype(np.int32)
+
+
+def _popcount_blocks(words: np.ndarray, act: ActBitplanes, weights: np.ndarray):
+    """Counts by popcount on the packed words, every group in one broadcast,
+    folded over the planes with weights (tokens, groups, 4).
 
     A call below the GEMM threshold is a single block; steps of
-    GEMM_MIN_TOKENS tokens bound a large call that the float32 guard routes
-    here.
+    GEMM_MIN_TOKENS tokens bound a large call routed here.
     """
     _, groups, n_words, rows = words.shape
     for tok in _token_steps(act.tokens, GEMM_MIN_TOKENS):
@@ -117,45 +166,61 @@ def _popcount_blocks(words: np.ndarray, act: ActBitplanes):
         for k in range(3):
             for w in range(n_words):
                 hits[k] += popcount(words[k, :, None, None, w] & planes[..., w, :])
-        yield tok, slice(None), hits.transpose(0, 4, 1, 2, 3)
+        folded = np.einsum("kgatr,tga->kgtr", hits, weights[tok])
+        yield tok, slice(None), folded.transpose(0, 3, 1, 2)
 
 
-def _gemm_blocks(layer: QuantizedLinear, act: ActBitplanes):
-    """Counts by float32 GEMM over unpacked bits, one group at a time.
+def _gemm_blocks(layer: QuantizedLinear, act: ActBitplanes, levels: np.ndarray):
+    """Counts by float32 GEMM of the weight bits against the integer
+    levels, one group at a time.
 
-    Each group's weight bits [q; q&m; m] are unpacked once per call and
-    multiplied by its plane bits in steps of GEMM_TOKENS tokens.
+    Each group's weight bits [q; q&m; m] are unpacked once per call; its
+    levels come from the 4-bit codes through a 16-entry table and are
+    multiplied in steps of GEMM_TOKENS tokens.
     """
     b = layer.group_size
     rows = layer.rows
     q = unpack_bits(layer.signs, b)
     m = unpack_bits(layer.mask, b)
+    # table[g, c] = sum_a levels[g, a] * bit a of code c
+    table = (levels @ ((np.arange(16) >> np.arange(4)[:, None]) & 1)).astype(np.float32)
     bits = np.empty((3, rows, b), dtype=np.float32)
     for g in range(layer.n_groups):
         bits[0] = q[:, g]
         bits[2] = m[:, g]
         np.multiply(bits[0], bits[2], out=bits[1])
         for tok in _token_steps(act.tokens, GEMM_TOKENS):
-            planes = unpack_bits(act.planes[tok, g], b).transpose(1, 0, 2)
-            planes = planes.astype(np.float32).reshape(-1, b)
-            hits = bits.reshape(3 * rows, b) @ planes.T
-            yield tok, slice(g, g + 1), hits.reshape(3, rows, 1, 4, -1)
+            p = unpack_bits(act.planes[tok, g], b)
+            codes = p[:, 0] | p[:, 1] << 1 | p[:, 2] << 2 | p[:, 3] << 3
+            hits = bits.reshape(3 * rows, b) @ table[g].take(codes).T
+            yield tok, slice(g, g + 1), hits.reshape(3, rows, 1, -1)
 
 
 def counts(layer: QuantizedLinear, act: ActBitplanes) -> Counts:
-    """Exact integer counts of one call.
+    """Exact integer counts of one call, folded over the planes.
 
-    The backend depends on the call's token count alone, except that a
-    group of GEMM_MAX_GROUP bits or more always goes to popcount.
+    Calls of GEMM_MIN_TOKENS tokens or more whose scales lie on the grid
+    and whose sums stay below GEMM_MAX_DOT go to the GEMM backend, every
+    other call to popcount.
     """
     words = _weight_words(layer)
-    if act.tokens >= GEMM_MIN_TOKENS and layer.group_size < GEMM_MAX_GROUP:
-        blocks = _gemm_blocks(layer, act)
+    levels = grid_levels(act)
+    if levels is None:
+        weights, scale = act.plane_scales, np.ones((act.n_groups, act.tokens))
     else:
-        blocks = _popcount_blocks(words, act)
+        weights, scale = np.broadcast_to(levels, act.plane_scales.shape), act.mu.T / CORR_GRID
+    if (
+        act.tokens >= GEMM_MIN_TOKENS
+        and levels is not None
+        and layer.group_size * int(levels.sum(axis=1).max(initial=0)) < GEMM_MAX_DOT
+    ):
+        blocks = _gemm_blocks(layer, act, levels)
+    else:
+        blocks = _popcount_blocks(words, act, weights)
     return Counts(
         ones=popcount(words).sum(axis=2, dtype=np.int32).transpose(0, 2, 1),
         planes=popcount(act.planes).sum(axis=-1, dtype=np.int32),
+        scale=scale,
         blocks=blocks,
     )
 
@@ -184,15 +249,15 @@ def _outlier_tail(layer: QuantizedLinear, act: ActBitplanes) -> np.ndarray:
 
 def _coefficients(layer: QuantizedLinear):
     """float64 coefficients of (v, v1, r1), shape (3, rows, groups) with
-    rows innermost in memory like the popcount blocks, and of r, shape
-    (groups, rows).
+    memory laid out (3, groups, rows) like the popcount blocks, and of r,
+    shape (groups, rows).
 
     With v0 = v - v1 and r0 = r - r1 the per-subgroup sum
     a0(2v0 - r0) + b0 r0 + a1(2v1 - r1) + b1 r1 equals
     2a0 v + 2(a1 - a0) v1 + (a0 - a1 + b1 - b0) r1 + (b0 - a0) r.
     """
     (a0, b0), (a1, b1) = np.asarray(layer.affine, dtype=np.float64).transpose(2, 3, 1, 0)
-    coef = np.stack([2 * a0, 2 * (a1 - a0), a0 - a1 + b1 - b0], axis=1).transpose(1, 2, 0)
+    coef = np.stack([2 * a0, 2 * (a1 - a0), a0 - a1 + b1 - b0]).transpose(0, 2, 1)
     return coef, b0 - a0
 
 
@@ -208,10 +273,9 @@ def forward(layer: QuantizedLinear, act: ActBitplanes) -> np.ndarray:
     const = np.einsum("krg,krg->gr", coef, c.ones) + layer.group_size * coef_r
     out += act.shift @ const
     out += np.einsum("tga,tga->tg", act.plane_scales, c.planes) @ coef_r
-    scales = np.ascontiguousarray(act.plane_scales.transpose(1, 2, 0))  # (groups, 4, tokens)
     for tok, grp, block in c.blocks:
-        scaled = np.einsum("krgat,gat->krgt", block, scales[grp, :, tok])
-        out[tok] += np.einsum("krg,krgt->tr", coef[:, :, grp], scaled)
+        part = np.einsum("krg,krgt->gtr", coef[:, :, grp], block)
+        out[tok] += np.einsum("gt,gtr->tr", c.scale[grp, tok], part)
     return out
 
 

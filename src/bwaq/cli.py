@@ -1,8 +1,8 @@
 """Command-line front end: quantize, eval, bench, inspect.
 
-Exit codes: 0 success, 2 usage/config error, 3 data error, 4 internal
-invariant failure. All output goes to stdout; pass --json for a
-machine-readable report.
+Exit codes: 0 success, 2 usage/config error or an unreadable path, 3 data
+error, 4 internal invariant failure. All output goes to stdout; pass --json
+for a machine-readable report.
 """
 
 import argparse
@@ -328,6 +328,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,9 +6,10 @@ Layout, all little-endian:
     rank    u32
     dims    u64[rank]
     dtype   u8       0 = float32, 1 = float64
-    payload row-major element data
+    payload row-major element data, and nothing after it
 """
 
+import math
 import struct
 from pathlib import Path
 
@@ -56,9 +57,12 @@ def read_tensor(path) -> np.ndarray:
     if code not in _DTYPES:
         raise FormatError(f"{path}: unknown dtype code {code}")
     dtype = _DTYPES[code]
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+    # Python ints: a numpy product of u64 dims can wrap around
+    count = math.prod(dims)
     need = off + count * dtype.itemsize
     if len(data) < need:
         raise FormatError(f"{path}: unexpected end of file at byte {len(data)}")
+    if len(data) > need:
+        raise FormatError(f"{path}: {len(data) - need} trailing bytes after the payload")
     arr = np.frombuffer(data, dtype=dtype, count=count, offset=off)
     return arr.reshape(dims).copy()

@@ -69,6 +69,8 @@ class QuantizedLinear:
             raise DataError("non-finite affine parameters")
         if not (np.isfinite(self.out_scale).all() and np.isfinite(self.out_zero).all()):
             raise DataError("non-finite outlier scale/zero")
+        if not np.isfinite(self.plane_corr).all():
+            raise DataError("non-finite plane corrections")
 
 
 @dataclass

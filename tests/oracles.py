@@ -145,6 +145,29 @@ def naive_counts(q_bits, b_bits, m_bits):
     return v0, v1, r0, r1
 
 
+def naive_folded_counts(q_bits, plane_bits, m_bits, levels):
+    """Counts of one (row, group, token) folded over the four activation
+    planes: sum_a levels[a] * (v0 + v1, v1, r1) of plane a."""
+    folded = [0, 0, 0]
+    for bits, level in zip(plane_bits, levels):
+        v0, v1, _, r1 = naive_counts(q_bits, bits, m_bits)
+        for i, count in enumerate((v0 + v1, v1, r1)):
+            folded[i] += int(level) * count
+    return folded
+
+
+def grid_corrections(rng, n_groups):
+    """Random plane corrections k / 4096 on the quantizer's 2^-12 grid, with
+    k within 1% of 4096, shape (n_groups, 4)."""
+    k = rng.integers(4096 - 40, 4096 + 41, size=(n_groups, 4))
+    return (k / 4096).astype(np.float32)
+
+
+def grid_levels_of(corrections):
+    """Integer plane weights 2^a * k[g, a] of corrections k / 4096."""
+    k = np.rint(np.asarray(corrections, dtype=np.float64) * 4096).astype(np.int64)
+    return k << np.arange(4)
+
 
 @dataclass
 class BitBlock:
@@ -252,7 +275,9 @@ def plane_corrections_reference(x, layer) -> np.ndarray:
     permuted binarized channels to INT4, unpack all four bit planes to one
     float64 (tokens, groups, 4, B) tensor, reconstruct through it, balance
     the plane scales on the residual, and average the balanced/unbalanced
-    ratio over tokens. The outlier tail only has to be finite.
+    ratio over tokens, rounded to the nearest multiple of 2^-12 in float64
+    (the quantizer's correction grid). The outlier tail only has to be
+    finite.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -287,4 +312,5 @@ def plane_corrections_reference(x, layer) -> np.ndarray:
     delta = np.where(
         member_cnt > 0, scales * member_sum / np.maximum(member_cnt, 1.0), 0.0
     )
-    return ((scales + delta) / scales).mean(axis=0).astype(np.float32)
+    mean = ((scales + delta) / scales).mean(axis=0)
+    return (np.rint(mean * 4096) / 4096).astype(np.float32)

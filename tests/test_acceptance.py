@@ -28,7 +28,13 @@ from bwaq.actquant import quantize_activations, reconstruct
 from bwaq.bitkernel import bench_forward, counts, random_activations, random_layer
 from bwaq.bits import unpack_bits
 
-from oracles import dp_optimal_clusters, naive_counts
+from oracles import (
+    dp_optimal_clusters,
+    grid_corrections,
+    grid_levels_of,
+    naive_counts,
+    naive_folded_counts,
+)
 
 
 def test_criterion_1_kernel_oracle_equivalence():
@@ -45,7 +51,11 @@ def test_criterion_1_kernel_oracle_equivalence():
         rows = int(rng.integers(1, 513)) if i % 10 == 0 else int(rng.integers(1, 129))
         tokens = int(rng.integers(1, 9))
         layer = random_layer(rng, rows, cols, group, outliers)
-        act = random_activations(rng, tokens, layer)
+        # non-unit grid corrections from a stream of their own, so the
+        # pairs drawn from rng stay the same
+        corr = grid_corrections(np.random.default_rng([101, i]), n_groups)
+        layer = replace(layer, plane_corr=corr)
+        act = random_activations(rng, tokens, layer, corrections=True)
 
         got = forward(layer, act)
         want = forward_reference(layer, act)
@@ -55,21 +65,22 @@ def test_criterion_1_kernel_oracle_equivalence():
         assert rel <= 1e-4, f"pair {i}: relative error {rel}"
 
         kernel_counts = counts(layer, act)
-        kernel = np.zeros((3, rows, n_groups, 4, tokens))
+        kernel = np.zeros((3, rows, n_groups, tokens))
         for tok, grp, block in kernel_counts.blocks:
-            kernel[:, :, grp, :, tok] = block
+            kernel[:, :, grp, tok] = block
+        levels = grid_levels_of(corr)
         for _ in range(2):
             r = int(rng.integers(rows))
             g = int(rng.integers(n_groups))
             t = int(rng.integers(tokens))
             a = int(rng.integers(4))
-            v0, v1, r0, r1 = naive_counts(
-                unpack_bits(layer.signs[r, g], group).tolist(),
-                unpack_bits(act.planes[t, g, a], group).tolist(),
-                unpack_bits(layer.mask[r, g], group).tolist(),
-            )
-            got_counts = kernel[:, r, g, a, t].tolist() + [kernel_counts.planes[t, g, a]]
-            assert got_counts == [v0 + v1, v1, r1, r0 + r1], f"pair {i}: count mismatch"
+            q_bits = unpack_bits(layer.signs[r, g], group).tolist()
+            m_bits = unpack_bits(layer.mask[r, g], group).tolist()
+            plane_bits = unpack_bits(act.planes[t, g], group).tolist()
+            _, _, r0, r1 = naive_counts(q_bits, plane_bits[a], m_bits)
+            want = naive_folded_counts(q_bits, plane_bits, m_bits, levels[g]) + [r0 + r1]
+            got_counts = kernel[:, r, g, t].tolist() + [kernel_counts.planes[t, g, a]]
+            assert got_counts == want, f"pair {i}: count mismatch"
     elapsed = time.perf_counter() - t0
     assert elapsed < 120, f"criterion 1 took {elapsed:.1f}s"
     print(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bwaq import DataError, balance_scales, decompose_bitplanes, rtn_dequantize, rtn_quantize
 from bwaq.actquant import (
+    CORR_GRID,
     PLANE_CORR_TOKENS,
     ActBitplanes,
     plane_corrections,
@@ -233,6 +234,13 @@ class TestPlaneCorrections:
         got = plane_corrections(x, layer)
         assert got.dtype == np.float32 and got.shape == (3, 4)
         assert np.array_equal(got, plane_corrections_reference(x, layer))
+
+    def test_corrections_lie_on_the_grid(self, rng):
+        layer = random_layer(rng, 1, 128 + 4 * 64, 64, 128)
+        x = rng.normal(size=(300, layer.cols)) * rng.uniform(0.1, 10, size=layer.cols)
+        steps = plane_corrections(x, layer).astype(np.float64) * CORR_GRID
+        assert np.array_equal(steps, np.rint(steps))
+        assert not np.all(steps == CORR_GRID)
 
     def test_nan_in_outlier_channel_rejected(self, rng):
         layer = random_layer(rng, 1, 128 + 2 * 64, 64, 128)

@@ -1,14 +1,23 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bwaq import DataError, QuantizedLinear, bitkernel, forward, forward_reference
-from bwaq.actquant import ActBitplanes, decompose_bitplanes, quantize_activations
-from bwaq.bitkernel import bench_forward, counts, random_activations, random_layer
+from bwaq.actquant import CORR_GRID, ActBitplanes, decompose_bitplanes, quantize_activations
+from bwaq.bitkernel import bench_forward, counts, grid_levels, random_activations, random_layer
 from bwaq.bits import pack_bits, unpack_bits
 
-from oracles import BitBlock, group_counts, naive_counts, popc_and
+from oracles import (
+    BitBlock,
+    grid_corrections,
+    grid_levels_of,
+    group_counts,
+    naive_counts,
+    naive_folded_counts,
+    popc_and,
+)
 
 
 def _block(bits):
@@ -138,20 +147,22 @@ class TestForward:
 
     def test_counts_match_naive_on_sampled_blocks(self, rng):
         layer = random_layer(rng, 16, 256, 128, 0)
-        act = random_activations(rng, 4, layer)
+        layer = replace(layer, plane_corr=grid_corrections(rng, 2))
+        act = random_activations(rng, 4, layer, corrections=True)
+        levels = grid_levels_of(layer.plane_corr)
         _, planes, blocks = _dense_counts(layer, act)
         for _ in range(50):
             row = int(rng.integers(16))
             token = int(rng.integers(4))
             group = int(rng.integers(2))
-            plane = int(rng.integers(4))
-            v0, v1, r0, r1 = naive_counts(
-                unpack_bits(layer.signs[row, group], 128).tolist(),
-                unpack_bits(act.planes[token, group, plane], 128).tolist(),
-                unpack_bits(layer.mask[row, group], 128).tolist(),
-            )
-            assert blocks[:, row, group, plane, token].tolist() == [v0 + v1, v1, r1]
-            assert planes[token, group, plane] == r0 + r1
+            plane_bits = unpack_bits(act.planes[token, group], 128).tolist()
+            q_bits = unpack_bits(layer.signs[row, group], 128).tolist()
+            m_bits = unpack_bits(layer.mask[row, group], 128).tolist()
+            want = naive_folded_counts(q_bits, plane_bits, m_bits, levels[group])
+            assert blocks[:, row, group, token].tolist() == want
+            for plane in range(4):
+                v0, v1, r0, r1 = naive_counts(q_bits, plane_bits[plane], m_bits)
+                assert planes[token, group, plane] == r0 + r1
 
     def test_linearity_in_plane_scales(self, rng):
         # same codes, scales split across two calls: forwards must add up
@@ -209,15 +220,17 @@ class TestForward:
         assert np.allclose(forward_reference(layer, act), reconstruct(act), rtol=1e-12)
 
 
-def _naive_layer_counts(layer, act):
-    """Plane, constant-ones and per-plane counts from oracles.naive_counts,
-    laid out as counts() lays them out."""
+def _naive_layer_counts(layer, act, corrections):
+    """Constant-ones, plane and folded counts from oracles.naive_counts,
+    laid out as counts() lays them out; the planes are folded with the
+    integer levels of the corrections act was quantized with."""
     b = layer.group_size
+    levels = grid_levels_of(corrections)
     q = unpack_bits(layer.signs, b).tolist()
     m = unpack_bits(layer.mask, b).tolist()
     p = unpack_bits(act.planes, b).tolist()
     ones = [1] * b
-    blocks = np.zeros((3, layer.rows, layer.n_groups, 4, act.tokens))
+    blocks = np.zeros((3, layer.rows, layer.n_groups, act.tokens), dtype=np.int64)
     const = np.zeros((3, layer.rows, layer.n_groups))
     planes = np.zeros((act.tokens, layer.n_groups, 4))
     for r in range(layer.rows):
@@ -225,9 +238,9 @@ def _naive_layer_counts(layer, act):
             v0, v1, _, r1 = naive_counts(q[r][g], ones, m[r][g])
             const[:, r, g] = v0 + v1, v1, r1
             for t in range(act.tokens):
+                blocks[:, r, g, t] = naive_folded_counts(q[r][g], p[t][g], m[r][g], levels[g])
                 for a in range(4):
                     v0, v1, r0, r1 = naive_counts(q[r][g], p[t][g][a], m[r][g])
-                    blocks[:, r, g, a, t] = v0 + v1, v1, r1
                     planes[t, g, a] = r0 + r1
     return const, planes, blocks
 
@@ -236,13 +249,18 @@ def _dense_counts(layer, act):
     """counts() with its blocks assembled; checks that the blocks cover every
     (token, group) exactly once."""
     c = counts(layer, act)
-    dense = np.zeros((3, layer.rows, layer.n_groups, 4, act.tokens))
+    dense = np.zeros((3, layer.rows, layer.n_groups, act.tokens))
     cover = np.zeros((layer.n_groups, act.tokens), dtype=np.int64)
     for tok, grp, block in c.blocks:
-        dense[:, :, grp, :, tok] = block
+        dense[:, :, grp, tok] = block
         cover[grp, tok] += 1
     assert np.all(cover == 1)
     return c.ones, c.planes, dense
+
+
+def _grid_layer(rng, rows, group, outliers, n_groups=2):
+    layer = random_layer(rng, rows, outliers + n_groups * group, group, outliers)
+    return replace(layer, plane_corr=grid_corrections(rng, layer.n_groups))
 
 
 def _spy(monkeypatch, name, calls):
@@ -263,9 +281,9 @@ class TestCounts:
     @pytest.mark.parametrize("tokens", [1, 2, 3, 4, 5, 17, bitkernel.GEMM_TOKENS + 5])
     def test_backends_match_each_other_and_naive(self, monkeypatch, tokens, group, outliers):
         rng = np.random.default_rng([tokens, group, outliers])
-        layer = random_layer(rng, 3, outliers + 2 * group, group, outliers)
+        layer = _grid_layer(rng, 3, group, outliers)
         act = random_activations(rng, tokens, layer, corrections=True)
-        want = _naive_layer_counts(layer, act)
+        want = _naive_layer_counts(layer, act, layer.plane_corr)
         reference = forward_reference(layer, act)
         scale = np.abs(reference).max() + 1e-12
         for name, threshold in (("_popcount_blocks", 10**9), ("_gemm_blocks", 1)):
@@ -276,6 +294,7 @@ class TestCounts:
             assert calls == [name]
             for g, w in zip(got, want):
                 assert np.array_equal(g, w), name
+            assert np.array_equal(counts(layer, act).scale, act.mu.T / CORR_GRID)
             assert np.abs(forward(layer, act) - reference).max() <= 1e-9 * scale
 
     def test_default_backend_by_token_count(self, monkeypatch, rng):
@@ -289,19 +308,45 @@ class TestCounts:
             assert calls == ["_gemm_blocks" if gemm else "_popcount_blocks"]
 
     def test_group_beyond_float32_bound_never_uses_gemm(self, monkeypatch, rng):
-        # the guard compares the group size with 2^24; lowering the bound
-        # to the group size exercises it without a 2^24-bit layer
-        layer = random_layer(rng, 5, 128 + 2 * 64, 64, 128)
-        act = random_activations(rng, 2 * bitkernel.GEMM_MIN_TOKENS + 1, layer)
-        monkeypatch.setattr(bitkernel, "GEMM_MAX_GROUP", 64)
+        # the guard compares group_size * the largest level sum of a group
+        # with 2^24; moving the bound onto that product exercises it without
+        # a group of 2^24 / 61,440 channels
+        layer = _grid_layer(rng, 5, 64, 128)
+        act = random_activations(rng, 2 * bitkernel.GEMM_MIN_TOKENS + 1, layer, corrections=True)
+        top = 64 * int(grid_levels_of(layer.plane_corr).sum(axis=1).max())
         calls = []
         _spy(monkeypatch, "_gemm_blocks", calls)
-        got = _dense_counts(layer, act)
-        assert calls == []
-        for g, w in zip(got, _naive_layer_counts(layer, act)):
-            assert np.array_equal(g, w)
+        _spy(monkeypatch, "_popcount_blocks", calls)
         want = forward_reference(layer, act)
-        assert np.abs(forward(layer, act) - want).max() <= 1e-9 * np.abs(want).max()
+        for bound, backend in ((top, "_popcount_blocks"), (top + 1, "_gemm_blocks")):
+            monkeypatch.setattr(bitkernel, "GEMM_MAX_DOT", bound)
+            calls.clear()
+            got = _dense_counts(layer, act)
+            assert calls == [backend]
+            for g, w in zip(got, _naive_layer_counts(layer, act, layer.plane_corr)):
+                assert np.array_equal(g, w)
+            assert np.abs(forward(layer, act) - want).max() <= 1e-9 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", ["file_off_grid", "per_token_scales"])
+    def test_off_grid_scales_use_popcount(self, monkeypatch, rng, kind):
+        layer = random_layer(rng, 6, 128 + 2 * 64, 64, 128)
+        tokens = bitkernel.GEMM_MIN_TOKENS + 5
+        if kind == "file_off_grid":
+            # corrections as written before they were put on the grid
+            corr = rng.uniform(0.99, 1.01, size=(layer.n_groups, 4)).astype(np.float32)
+            layer = replace(layer, plane_corr=corr)
+            act = random_activations(rng, tokens, layer, corrections=True)
+        else:
+            act = random_activations(rng, tokens, layer)
+            frac = rng.uniform(0.5, 1.5, size=act.plane_scales.shape)
+            act = replace(act, plane_scales=frac * act.plane_scales)
+        calls = []
+        _spy(monkeypatch, "_gemm_blocks", calls)
+        _spy(monkeypatch, "_popcount_blocks", calls)
+        got = forward(layer, act)
+        assert calls == ["_popcount_blocks"]
+        want = forward_reference(layer, act)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_peak_memory_does_not_grow_with_batch(self):
         rng = np.random.default_rng(7)
@@ -316,6 +361,33 @@ class TestCounts:
         assert out.shape == (1024, 1024)
         # the 8 MB float64 output is part of the peak
         assert peak <= 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+class TestGridLevels:
+    def test_levels_of_grid_corrections(self, rng):
+        layer = _grid_layer(rng, 2, 64, 0, n_groups=3)
+        act = random_activations(rng, 7, layer, corrections=True)
+        assert np.array_equal(grid_levels(act), grid_levels_of(layer.plane_corr))
+
+    def test_unit_scales_give_grid_levels(self, rng):
+        layer = random_layer(rng, 2, 128, 64, 0)
+        act = random_activations(rng, 3, layer)
+        assert np.array_equal(grid_levels(act), np.tile(CORR_GRID << np.arange(4), (2, 1)))
+
+    def test_one_scale_one_ulp_off_rejects_the_call(self, rng):
+        layer = _grid_layer(rng, 2, 64, 0)
+        act = random_activations(rng, 5, layer, corrections=True)
+        scales = act.plane_scales.copy()
+        scales[4, 1, 2] = np.nextafter(scales[4, 1, 2], np.inf)
+        assert grid_levels(replace(act, plane_scales=scales)) is None
+
+    def test_levels_that_could_overflow_the_fold_are_rejected(self, rng):
+        layer = random_layer(rng, 2, 128, 64, 0)
+        layer = replace(layer, plane_corr=np.full((2, 4), 2.0**20, dtype=np.float32))
+        act = random_activations(rng, 3, layer, corrections=True)
+        assert grid_levels(act) is None
+        want = forward_reference(layer, act)
+        assert np.abs(forward(layer, act) - want).max() <= 1e-9 * np.abs(want).max()
 
 
 class TestBench:

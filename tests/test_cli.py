@@ -67,6 +67,13 @@ def test_quantize_missing_file(toy_stack, capsys):
     assert "file not found" in capsys.readouterr().err
 
 
+def test_inspect_directory_as_model_exits_2(tmp_path, capsys):
+    assert main(["inspect", "--model", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(tmp_path) in err
+
+
 def test_quantize_bad_grouping(toy_stack, capsys):
     args = _quantize_args(toy_stack)
     args[args.index("--group-size") + 1] = "40"

@@ -116,3 +116,15 @@ def test_inspect_reports_bits_per_weight(tmp_path, rng):
     assert info["bits_per_weight"] == pytest.approx(
         (12 + 2 * nbytes) * 8 / (2 * 8 * 64)
     )
+
+
+def test_non_finite_plane_correction_rejected(tmp_path, rng):
+    layer = random_layer(rng, 4, 32, 16, 0)
+    path = tmp_path / "m.bwaq"
+    write_model([layer], path)
+    data = bytearray(path.read_bytes())
+    # plane_corr is the layer's last field; overwrite its last float32
+    data[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="layer 0: non-finite plane corrections"):
+        read_model(path)
