@@ -32,8 +32,22 @@ r - r1. Two backends produce them:
 
 Both give the same integers on the grid. One float64 step combines them.
 The INT8 tail is a float64 product whose partial sums are integers below
-2^53. forward is a pure function over immutable layer data; nothing here
-mutates the layer.
+2^53.
+
+A layer is prepared once. `prepare` computes what depends on the layer
+alone: the (3, groups, words, rows) weight words, the float64 coefficients,
+the combined constant-ones plane term (groups, rows) and the tail's
+per-row weight vectors. It stores them on the layer the first time
+`forward` or `counts` sees it, about 1.34x the layer's serialized bytes at
+1024x1024, B=128, K=128; every later call does only token work. Unpacked
+weight bits and the tail's (rows, K) float64 matrix are rebuilt per call,
+as caching them would cost 12 bytes per weight and 8 bytes per outlier
+code. The prepared state is never serialized or compared, and
+dataclasses.replace gives a layer without it. A layer is immutable once
+served: preparing makes the arrays it was built from read-only, so an
+in-place edit raises, and a layer whose arrays were replaced by assignment
+is prepared again. Concurrent first calls may each build the state; the
+results are identical.
 """
 
 import time
@@ -67,12 +81,39 @@ GEMM_TOKENS = 128
 GEMM_MAX_DOT = 2**24
 
 
+@dataclass(frozen=True)
+class Prepared:
+    """Constants of one layer that every call reads; see prepare.
+
+    words:     (3, groups, words, rows) uint64 words of q, q&m and m.
+    coef:      (3, rows, groups) float64 coefficients of (v, v1, r1).
+    coef_r:    (groups, rows) float64 coefficient of r.
+    const:     (groups, rows) the constant-ones plane's counts times their
+               coefficients, plus B * coef_r; a call adds shift @ const.
+    w_neg_sum: (rows,) float64 -sum of the INT8 weight codes.
+    w_zero:    (rows,) float64 INT8 weight zero points.
+    out_scale: (rows,) float64 INT8 weight scales.
+    sources:   the layer arrays these were computed from.
+    """
+
+    words: np.ndarray
+    coef: np.ndarray
+    coef_r: np.ndarray
+    const: np.ndarray
+    w_neg_sum: np.ndarray
+    w_zero: np.ndarray
+    out_scale: np.ndarray
+    sources: tuple
+
+
 @dataclass
 class Counts:
     """Exact integer counts of one forward call, folded over the planes.
 
     ones:   (3, rows, groups) popc(q), popc(q&m), popc(m): the counts of
-            the constant-ones plane.
+            the constant-ones plane, computed from words when read (forward
+            reads the prepared constant instead).
+    words:  the layer's prepared weight words.
     planes: (tokens, groups, 4) popc(b) per activation plane.
     scale:  (groups, tokens) float64 factor of the blocks: mu / CORR_GRID
             on the grid, 1 off it.
@@ -85,10 +126,14 @@ class Counts:
             GEMM_TOKENS tokens at a time.
     """
 
-    ones: np.ndarray
+    words: np.ndarray
     planes: np.ndarray
     scale: np.ndarray
     blocks: Iterator[tuple[slice, slice, np.ndarray]]
+
+    @property
+    def ones(self) -> np.ndarray:
+        return _ones_counts(self.words)
 
 
 def _check_compatible(layer: QuantizedLinear, act: ActBitplanes) -> None:
@@ -124,6 +169,61 @@ def _weight_words(layer: QuantizedLinear) -> np.ndarray:
     np.bitwise_and(q, m, out=words[1])
     words[2] = m
     return words
+
+
+def _ones_counts(words: np.ndarray) -> np.ndarray:
+    """popc(q), popc(q&m), popc(m) per (row, group): (3, rows, groups)."""
+    return popcount(words).sum(axis=2, dtype=np.int32).transpose(0, 2, 1)
+
+
+def _coefficients(layer: QuantizedLinear):
+    """float64 coefficients of (v, v1, r1), shape (3, rows, groups), and
+    of r, shape (groups, rows).
+
+    With v0 = v - v1 and r0 = r - r1 the per-subgroup sum
+    a0(2v0 - r0) + b0 r0 + a1(2v1 - r1) + b1 r1 equals
+    2a0 v + 2(a1 - a0) v1 + (a0 - a1 + b1 - b0) r1 + (b0 - a0) r.
+    """
+    (a0, b0), (a1, b1) = np.asarray(layer.affine, dtype=np.float64).transpose(2, 3, 1, 0)
+    coef = np.stack([2 * a0, 2 * (a1 - a0), a0 - a1 + b1 - b0]).transpose(0, 2, 1)
+    return coef, b0 - a0
+
+
+def prepare(layer: QuantizedLinear) -> Prepared:
+    """The layer's kernel constants, computed on the first call and stored
+    on the layer; later calls return the stored ones.
+
+    Makes the arrays they come from read-only, so that the layer cannot
+    change under them in place.
+    """
+    sources = (
+        layer.signs,
+        layer.mask,
+        layer.affine,
+        layer.out_codes,
+        layer.out_scale,
+        layer.out_zero,
+    )
+    prep = layer._kernel
+    if prep is not None and all(a is b for a, b in zip(prep.sources, sources)):
+        return prep
+    words = _weight_words(layer)
+    coef, coef_r = _coefficients(layer)
+    const = np.einsum("krg,krg->gr", coef, _ones_counts(words)) + layer.group_size * coef_r
+    prep = Prepared(
+        words=words,
+        coef=coef,
+        coef_r=coef_r,
+        const=const,
+        w_neg_sum=-layer.out_codes.sum(axis=1, dtype=np.uint32).astype(np.float64),
+        w_zero=np.asarray(layer.out_zero, dtype=np.float64),
+        out_scale=np.asarray(layer.out_scale, dtype=np.float64),
+        sources=sources,
+    )
+    for array in sources:
+        array.flags.writeable = False
+    layer._kernel = prep
+    return prep
 
 
 def grid_levels(act: ActBitplanes):
@@ -203,7 +303,7 @@ def counts(layer: QuantizedLinear, act: ActBitplanes) -> Counts:
     and whose sums stay below GEMM_MAX_DOT go to the GEMM backend, every
     other call to popcount.
     """
-    words = _weight_words(layer)
+    words = prepare(layer).words
     levels = grid_levels(act)
     if levels is None:
         weights, scale = act.plane_scales, np.ones((act.n_groups, act.tokens))
@@ -218,14 +318,14 @@ def counts(layer: QuantizedLinear, act: ActBitplanes) -> Counts:
     else:
         blocks = _popcount_blocks(words, act, weights)
     return Counts(
-        ones=popcount(words).sum(axis=2, dtype=np.int32).transpose(0, 2, 1),
+        words=words,
         planes=popcount(act.planes).sum(axis=-1, dtype=np.int32),
         scale=scale,
         blocks=blocks,
     )
 
 
-def _outlier_tail(layer: QuantizedLinear, act: ActBitplanes) -> np.ndarray:
+def _outlier_tail(layer: QuantizedLinear, act: ActBitplanes, prep: Prepared) -> np.ndarray:
     """INT8 outlier channels' contribution, shape (tokens, rows).
 
     The sum over outlier channels of (a - za)(w - zw) is one float64
@@ -239,42 +339,25 @@ def _outlier_tail(layer: QuantizedLinear, act: ActBitplanes) -> np.ndarray:
     a_side[:, k:] = np.column_stack([act.out_zero, a_side[:, :k].sum(axis=1), k * act.out_zero])
     w_side = np.empty((layer.rows, k + 3))
     w_side[:, :k] = layer.out_codes
-    w_zero = np.asarray(layer.out_zero, dtype=np.float64)
-    w_side[:, k:] = np.column_stack([-w_side[:, :k].sum(axis=1), -w_zero, w_zero])
+    w_side[:, k:] = np.column_stack([prep.w_neg_sum, -prep.w_zero, prep.w_zero])
     tail = a_side @ w_side.T
-    tail *= np.asarray(layer.out_scale, dtype=np.float64)
+    tail *= prep.out_scale
     tail *= act.out_scale[:, None]
     return tail
-
-
-def _coefficients(layer: QuantizedLinear):
-    """float64 coefficients of (v, v1, r1), shape (3, rows, groups) with
-    memory laid out (3, groups, rows) like the popcount blocks, and of r,
-    shape (groups, rows).
-
-    With v0 = v - v1 and r0 = r - r1 the per-subgroup sum
-    a0(2v0 - r0) + b0 r0 + a1(2v1 - r1) + b1 r1 equals
-    2a0 v + 2(a1 - a0) v1 + (a0 - a1 + b1 - b0) r1 + (b0 - a0) r.
-    """
-    (a0, b0), (a1, b1) = np.asarray(layer.affine, dtype=np.float64).transpose(2, 3, 1, 0)
-    coef = np.stack([2 * a0, 2 * (a1 - a0), a0 - a1 + b1 - b0]).transpose(0, 2, 1)
-    return coef, b0 - a0
 
 
 def forward(layer: QuantizedLinear, act: ActBitplanes) -> np.ndarray:
     """Bit-count forward pass, output shape (tokens, rows)."""
     _check_compatible(layer, act)
-    # the tail and the coefficients first: their temporaries are gone
-    # before the counts' arrive
-    out = _outlier_tail(layer, act)
-    coef, coef_r = _coefficients(layer)
+    prep = prepare(layer)
+    # the tail first: its temporaries are gone before the counts' arrive
+    out = _outlier_tail(layer, act, prep)
     c = counts(layer, act)
 
-    const = np.einsum("krg,krg->gr", coef, c.ones) + layer.group_size * coef_r
-    out += act.shift @ const
-    out += np.einsum("tga,tga->tg", act.plane_scales, c.planes) @ coef_r
+    out += act.shift @ prep.const
+    out += np.einsum("tga,tga->tg", act.plane_scales, c.planes) @ prep.coef_r
     for tok, grp, block in c.blocks:
-        part = np.einsum("krg,krgt->gtr", coef[:, :, grp], block)
+        part = np.einsum("krg,krgt->gtr", prep.coef[:, :, grp], block)
         out[tok] += np.einsum("gt,gtr->tr", c.scale[grp, tok], part)
     return out
 

@@ -69,7 +69,7 @@ def cmd_quantize(args) -> int:
     elapsed = time.perf_counter() - t0
 
     sidecar = str(args.out) + ".report.json"
-    with open(sidecar, "w") as fh:
+    with modelio.atomic_output(sidecar, "w") as fh:
         json.dump(reports, fh, indent=2, sort_keys=True)
 
     summary = {

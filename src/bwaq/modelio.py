@@ -25,6 +25,8 @@ Closed-form layer size in bytes (ng = (cols-K)/B, wpg = ceil(B/64)):
 A model file is 12 bytes of header plus the sum of its layer sizes.
 """
 
+import contextlib
+import os
 import struct
 from pathlib import Path
 
@@ -59,13 +61,36 @@ def model_nbytes(layers) -> int:
     )
 
 
-def write_model(layers, path) -> None:
+@contextlib.contextmanager
+def atomic_output(path, mode: str = "wb"):
+    """Open a new temporary file beside path for writing; when the block
+    completes, rename it over path. On any error the temporary file is
+    removed and path is left as it was. The rename is atomic on POSIX, so
+    a reader sees the old file or the new one, never a partial one; no
+    fsync is made, so this does not make the file durable across a crash
+    of the machine.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, mode.replace("w", "x")) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_model(layers, path) -> None:
+    """Write layers to path atomically; every layer is validated first, so
+    an invalid layer leaves an existing file untouched."""
+    for layer in layers:
+        layer.validate()
+    try:
+        with atomic_output(path) as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<II", VERSION, len(layers)))
             for layer in layers:
-                layer.validate()
                 fh.write(
                     struct.pack(
                         "<IIII", layer.rows, layer.cols, layer.group_size, layer.outliers
@@ -120,6 +145,10 @@ def read_model(path):
     layers = []
     for li in range(layer_count):
         rows, cols, group_size, outliers = cur.u32(4)
+        if outliers > cols:
+            raise FormatError(
+                f"{path}: layer {li}: {outliers} outlier columns exceed its {cols} columns"
+            )
         if group_size < 1 or (cols - outliers) % group_size != 0:
             raise FormatError(
                 f"{path}: layer {li}: binarized width {cols - outliers} is not a "

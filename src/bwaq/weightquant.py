@@ -36,7 +36,9 @@ class QuantizedLinear:
     signs/mask are uint64 word arrays of shape (rows, n_groups, words) in the
     permuted channel order; affine is float32 (rows, n_groups, 2, 2) indexed
     [subgroup][alpha, beta]; plane_corr holds per-(group, plane) activation
-    scale corrections applied at inference.
+    scale corrections applied at inference. _kernel holds the constants
+    bitkernel.prepare derives on the first forward call; it is never
+    serialized or compared, and dataclasses.replace leaves it behind.
     """
 
     rows: int
@@ -51,6 +53,7 @@ class QuantizedLinear:
     out_scale: np.ndarray
     out_zero: np.ndarray
     plane_corr: np.ndarray
+    _kernel: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_groups(self) -> int:

@@ -1,10 +1,19 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from bwaq import DataError, QuantizedLinear, bitkernel, forward, forward_reference
+from bwaq import (
+    DataError,
+    QuantizedLinear,
+    bitkernel,
+    forward,
+    forward_reference,
+    layer_nbytes,
+    read_model,
+    write_model,
+)
 from bwaq.actquant import CORR_GRID, ActBitplanes, decompose_bitplanes, quantize_activations
 from bwaq.bitkernel import bench_forward, counts, grid_levels, random_activations, random_layer
 from bwaq.bits import pack_bits, unpack_bits
@@ -388,6 +397,63 @@ class TestGridLevels:
         assert grid_levels(act) is None
         want = forward_reference(layer, act)
         assert np.abs(forward(layer, act) - want).max() <= 1e-9 * np.abs(want).max()
+
+
+class TestPrepared:
+    """The layer constants computed on the first call and read by later ones."""
+
+    def test_cached_call_matches_first_and_reference(self, rng):
+        layer = random_layer(rng, 24, 128 + 3 * 64, 64, 128)
+        act = random_activations(rng, 3, layer)
+        first = forward(layer, act)
+        prepared = layer._kernel
+        second = forward(layer, act)
+        assert prepared is not None and layer._kernel is prepared
+        assert np.array_equal(first, second)
+        want = forward_reference(layer, act)
+        assert np.abs(first - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_replaced_layer_is_prepared_afresh(self, rng):
+        layer = random_layer(rng, 16, 128 + 2 * 64, 64, 128)
+        act = random_activations(rng, 2, layer)
+        forward(layer, act)
+        changed = replace(layer, affine=rng.normal(scale=0.05, size=layer.affine.shape))
+        want = forward_reference(changed, act)
+        assert np.abs(forward(changed, act) - want).max() <= 1e-9 * np.abs(want).max()
+        # an array assigned to the served layer is picked up too
+        layer.affine = changed.affine
+        assert np.abs(forward(layer, act) - want).max() <= 1e-9 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "name", ["signs", "mask", "affine", "out_codes", "out_scale", "out_zero"]
+    )
+    def test_in_place_edit_after_forward_raises(self, rng, name):
+        layer = random_layer(rng, 4, 128 + 64, 64, 128)
+        forward(layer, random_activations(rng, 1, layer))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(layer, name)[0] = 0
+
+    def test_served_layer_writes_identical_bytes(self, tmp_path, rng):
+        layer = random_layer(rng, 8, 16 + 2 * 64, 64, 16)
+        fresh, served = tmp_path / "fresh.bwaq", tmp_path / "served.bwaq"
+        write_model([layer], fresh)
+        forward(layer, random_activations(rng, 2, layer))
+        write_model([layer], served)
+        assert served.read_bytes() == fresh.read_bytes()
+        (back,) = read_model(served)
+        for f in fields(layer):
+            if f.compare:
+                assert np.array_equal(getattr(back, f.name), getattr(layer, f.name)), f.name
+        assert layer._kernel is not None and back._kernel is None
+
+    def test_prepared_size_against_serialized(self):
+        rng = np.random.default_rng(3)
+        layer = random_layer(rng, 1024, 1024, 128, 128)
+        forward(layer, random_activations(rng, 1, layer))
+        prep = bitkernel.prepare(layer)
+        # what the layer holds beyond its own arrays
+        prepared = sum(getattr(prep, f.name).nbytes for f in fields(prep) if f.name != "sources")
+        assert prepared <= 1.5 * layer_nbytes(1024, 1024, 128, 128), prepared
 
 
 class TestBench:

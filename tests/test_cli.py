@@ -74,6 +74,33 @@ def test_inspect_directory_as_model_exits_2(tmp_path, capsys):
     assert str(tmp_path) in err
 
 
+def test_inspect_more_outliers_than_columns_exits_3(tmp_path, capsys):
+    # rows 1, cols 4, B 1, K 8: (4 - 8) % 1 == 0 passes the grouping check
+    path = tmp_path / "m.bwaq"
+    path.write_bytes(b"BWAQ" + np.array([1, 1, 1, 4, 1, 8], dtype="<u4").tobytes())
+    assert main(["inspect", "--model", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "8 outlier columns exceed its 4 columns" in err
+
+
+def test_failed_sidecar_write_keeps_old_sidecar(toy_stack, monkeypatch):
+    sidecar = toy_stack["model"].parent / "model.bwaq.report.json"
+    assert main(_quantize_args(toy_stack)) == 0
+    before = sidecar.read_bytes()
+    listing = sorted(p.name for p in sidecar.parent.iterdir())
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write("[")
+        raise ValueError("serialization failed")
+
+    monkeypatch.setattr("bwaq.cli.json.dump", broken_dump)
+    with pytest.raises(ValueError, match="serialization failed"):
+        main(_quantize_args(toy_stack))
+    assert sidecar.read_bytes() == before
+    assert sorted(p.name for p in sidecar.parent.iterdir()) == listing
+
+
 def test_quantize_bad_grouping(toy_stack, capsys):
     args = _quantize_args(toy_stack)
     args[args.index("--group-size") + 1] = "40"

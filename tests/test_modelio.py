@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from bwaq import FormatError, forward, layer_nbytes, model_nbytes, read_model, write_model
+from bwaq import (
+    DataError,
+    FormatError,
+    forward,
+    layer_nbytes,
+    model_nbytes,
+    read_model,
+    write_model,
+)
 from bwaq.bitkernel import random_activations, random_layer
 from bwaq.modelio import inspect_model
 
@@ -103,6 +111,29 @@ def test_trailing_garbage_rejected(tmp_path, rng):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError, match="trailing"):
         read_model(path)
+
+
+@pytest.mark.parametrize("failure", ["invalid_second_layer", "rename"])
+def test_failed_write_keeps_old_file(tmp_path, rng, monkeypatch, failure):
+    path = tmp_path / "m.bwaq"
+    good = random_layer(rng, 8, 64, 16, 16)
+    write_model([good, good], path)
+    before = path.read_bytes()
+    bad = random_layer(rng, 8, 64, 16, 16)
+    if failure == "invalid_second_layer":
+        bad.affine[0, 0, 0, 0] = np.nan
+        with pytest.raises(DataError, match="non-finite affine"):
+            write_model([good, bad], path)
+    else:
+
+        def broken_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("bwaq.modelio.os.replace", broken_replace)
+        with pytest.raises(FormatError, match="No space left on device"):
+            write_model([bad], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.bwaq"]
 
 
 def test_inspect_reports_bits_per_weight(tmp_path, rng):
