@@ -31,7 +31,6 @@ from .weightquant import (
     em_binarize,
     em_binarize_plain,
     gptq_compensate,
-    init_centers,
     m_step,
     quant_outliers_int8,
     quantize_linear,
@@ -64,7 +63,6 @@ __all__ = [
     "forward",
     "forward_reference",
     "gptq_compensate",
-    "init_centers",
     "inspect_model",
     "layer_nbytes",
     "m_step",

@@ -225,8 +225,9 @@ def balance_scales(x_fp, bp: ActBitplanes) -> ActBitplanes:
     return replace(bp, plane_scales=bp.plane_scales + delta)
 
 
-# Calibration tokens per block in plane_corrections: bounds its temporaries,
-# so peak memory does not grow with the calibration set.
+# Calibration tokens per block in plane_corrections and in `bwaq quantize`'s
+# calibration set: bounds the temporaries of every per-layer stage, so peak
+# memory does not grow with the calibration set beyond the set itself.
 PLANE_CORR_TOKENS = 256
 # Plane corrections are multiples of 1/CORR_GRID. Such values are exact in
 # float32, and on this grid a group's four corrected plane scales are
@@ -240,22 +241,25 @@ def plane_corrections(x, layer) -> np.ndarray:
     """Per-(group, plane) multiplicative corrections learned from calibration
     data: the token-averaged ratio of balanced to unbalanced plane scales.
 
-    The tokens are walked in blocks of PLANE_CORR_TOKENS. Each block's
-    binarized channels are RTN-quantized once, and the balancing of
-    balance_scales runs on the INT4 codes directly: with unit scales the
-    reconstruction is exactly mu * (code - z), so no bit planes are packed
-    or unpacked. The per-token ratios land in one (tokens, groups, 4) array
-    whose mean is taken once, so the result does not depend on the block
-    size. The float64 mean is rounded to the nearest multiple of
-    1/CORR_GRID. The outlier channels only have to be finite.
+    x is one token-major matrix or a sequence of them (token blocks of one
+    calibration set), each cut again into blocks of at most
+    PLANE_CORR_TOKENS tokens. Each block's binarized channels are
+    RTN-quantized once, and the balancing of balance_scales runs on the INT4
+    codes directly: with unit scales the reconstruction is exactly
+    mu * (code - z), so no bit planes are packed or unpacked. The per-token
+    ratios land in one (tokens, groups, 4) array whose mean is taken once, so
+    the result does not depend on how the tokens are split into blocks. The
+    float64 mean is rounded to the nearest multiple of 1/CORR_GRID. The
+    outlier channels only have to be finite.
     """
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise DataError(f"activations must be 2-D, got shape {x.shape}")
-    tokens, c_in = x.shape
+    blocks = [x] if isinstance(x, np.ndarray) else list(x)
     perm = np.asarray(layer.perm, dtype=np.int64)
-    if perm.shape != (c_in,):
-        raise DataError(f"perm length {perm.shape} does not match {c_in} channels")
+    for shape in map(np.shape, blocks):
+        if len(shape) != 2:
+            raise DataError(f"activations must be 2-D, got shape {shape}")
+        if perm.shape != (shape[1],):
+            raise DataError(f"perm length {perm.shape} does not match {shape[1]} channels")
+    c_in = perm.shape[0]
     b = layer.group_size
     n_bin = c_in - layer.outliers
     if n_bin < 0 or n_bin % b != 0:
@@ -265,20 +269,22 @@ def plane_corrections(x, layer) -> np.ndarray:
         )
     n_groups = n_bin // b
     binarized = perm[:n_bin]
-    ratio = np.empty((tokens, n_groups, 4))
+    ratio = np.empty((sum(len(blk) for blk in blocks), n_groups, 4))
+    row = 0
     skipped = 0
-    for start in range(0, tokens, PLANE_CORR_TOKENS):
-        blk = slice(start, start + PLANE_CORR_TOKENS)
-        xb = np.asarray(x[blk], dtype=np.float64)
-        if not np.isfinite(xb).all():
-            raise DataError("non-finite activation values")
-        grouped = xb[:, binarized].reshape(-1, n_groups, b)
-        codes, mu, z = rtn_quantize(grouped, 4)
-        recon = mu[..., None] * (codes - z[..., None])
-        scales = np.ldexp(mu[..., None], np.arange(4))
-        delta = _scale_deltas(grouped - recon, codes, mu, scales)
-        ratio[blk] = (scales + delta) / scales
-        skipped += int(np.sum(~codes.any(axis=-1)))
+    for blk in blocks:
+        for start in range(0, len(blk), PLANE_CORR_TOKENS):
+            xb = np.asarray(blk[start : start + PLANE_CORR_TOKENS], dtype=np.float64)
+            if not np.isfinite(xb).all():
+                raise DataError("non-finite activation values")
+            grouped = xb[:, binarized].reshape(-1, n_groups, b)
+            codes, mu, z = rtn_quantize(grouped, 4)
+            recon = mu[..., None] * (codes - z[..., None])
+            scales = np.ldexp(mu[..., None], np.arange(4))
+            delta = _scale_deltas(grouped - recon, codes, mu, scales)
+            ratio[row : row + len(xb)] = (scales + delta) / scales
+            row += len(xb)
+            skipped += int(np.sum(~codes.any(axis=-1)))
     if skipped:
         log.debug("plane_corrections: %d all-zero groups skipped", skipped)
     return (np.rint(ratio.mean(axis=0) * CORR_GRID) / CORR_GRID).astype(np.float32)

@@ -18,6 +18,12 @@ from .config import QuantConfig
 from .errors import DataError
 
 
+def _mirror_upper(a) -> None:
+    """Copy the upper triangle of square `a` onto its lower one, in place."""
+    for i in range(1, a.shape[0]):
+        a[i, :i] = a[:i, i]
+
+
 @dataclass
 class CalibrationStats:
     """Per-layer activation statistics.
@@ -38,7 +44,11 @@ def accumulate_hessian(samples) -> CalibrationStats:
     """Accumulate H = 2 * sum(X^T X) over token-major sample matrices.
 
     act_scale is the diagonal of the unscaled accumulation sum(X^T X).
-    Accumulation runs in float64 regardless of input precision.
+    Accumulation runs in float64 regardless of input precision. Each sample
+    is added into one Fortran-ordered upper triangle by an in-place dsyrk
+    (beta = 1), so many small token blocks cost what one product over all
+    tokens costs; the lower triangle is mirrored once at the end, which
+    leaves the result exactly symmetric.
     """
     samples = list(samples)
     if not samples:
@@ -48,7 +58,7 @@ def accumulate_hessian(samples) -> CalibrationStats:
         raise DataError(f"calibration sample must be 2-D, got shape {first.shape}")
     c_in = first.shape[1]
     total_tokens = 0
-    gram = np.zeros((c_in, c_in), dtype=np.float64)
+    gram = np.zeros((c_in, c_in), dtype=np.float64, order="F")
     for k, sample in enumerate(samples):
         x = np.asarray(sample, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != c_in:
@@ -56,11 +66,15 @@ def accumulate_hessian(samples) -> CalibrationStats:
                 f"sample {k} has shape {np.asarray(sample).shape}, expected (*, {c_in})"
             )
         if not np.isfinite(x).all():
-            raise DataError(f"sample {k} contains non-finite values")
-        gram += x.T @ x
+            span = f"tokens {total_tokens}-{total_tokens + x.shape[0] - 1}"
+            raise DataError(f"sample {k} ({span}) contains non-finite values")
+        if x.shape[0]:
+            # x.T of a C-ordered block is Fortran-ordered: dsyrk reads it in place
+            gram = scipy.linalg.blas.dsyrk(1.0, x.T, beta=1.0, c=gram, overwrite_c=1)
         total_tokens += x.shape[0]
     if total_tokens < 1:
         raise DataError("calibration samples contain no tokens")
+    _mirror_upper(gram)
     return CalibrationStats(hessian=2.0 * gram, act_scale=np.diag(gram).copy())
 
 
@@ -90,19 +104,27 @@ def damped_inverse_cholesky(hessian, damp_frac: float) -> np.ndarray:
     # zero-diagonal Hessians have nothing to scale the damping by; fall back
     # to absolute damping so pure-damping factorization still works
     lam = damp_frac * mean_diag if mean_diag > 0 else damp_frac
-    damped = h + lam * np.eye(n)
+    # one Fortran-ordered buffer carries the damped matrix, its factor, the
+    # inverse and the inverse's factor: LAPACK overwrites it at each step
+    work = np.array(h, order="F")
+    diag = np.arange(n)
+    work[diag, diag] += lam
     # dpotrf reports the failing leading minor directly
-    chol, info = scipy.linalg.lapack.dpotrf(damped, lower=0)
+    work, info = scipy.linalg.lapack.dpotrf(work, lower=0, overwrite_a=1)
     if info != 0:
         raise DataError(
             f"Cholesky factorization failed at pivot {info} even after damping"
         )
-    inv = scipy.linalg.cho_solve((chol, False), np.eye(n))
-    inv = (inv + inv.T) / 2.0
-    factor, info = scipy.linalg.lapack.dpotrf(inv, lower=0)
+    # dpotri turns the factor into the upper triangle of the inverse
+    work, info = scipy.linalg.lapack.dpotri(work, lower=0, overwrite_c=1)
+    if info != 0:
+        raise DataError(f"inversion of the Cholesky factor failed at pivot {info}")
+    _mirror_upper(work)
+    # clean=1 (the default) zeroes the lower triangle of the factor
+    work, info = scipy.linalg.lapack.dpotrf(work, lower=0, overwrite_a=1)
     if info != 0:
         raise DataError(f"Cholesky factorization of the inverse failed at pivot {info}")
-    return np.triu(factor)
+    return work
 
 
 def calibrate(samples, cfg: QuantConfig) -> CalibrationStats:

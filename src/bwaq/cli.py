@@ -3,6 +3,14 @@
 Exit codes: 0 success, 2 usage/config error or an unreadable path, 3 data
 error, 4 internal invariant failure. All output goes to stdout; pass --json
 for a machine-readable report.
+
+quantize holds its calibration set once, as blocks of
+actquant.PLANE_CORR_TOKENS tokens: row views of the arrays read from the
+calibration files. Every per-layer stage (Hessian, plane corrections,
+propagation to the next layer's inputs) consumes those blocks. A layer that
+keeps the width writes its outputs over them, so a stack of such layers
+never holds a second copy of the set; one that changes the width replaces
+them block by block.
 """
 
 import argparse
@@ -19,10 +27,17 @@ from .errors import ConfigError, DataError, InternalError
 
 
 def _load_matrix(path) -> np.ndarray:
+    """A tensor file as a float64 token-major matrix; no copy if it is float64."""
     arr = tensorio.read_tensor(path)
     if arr.ndim < 2:
         raise DataError(f"{path}: expected a matrix, got rank {arr.ndim}")
-    return arr.reshape(-1, arr.shape[-1]).astype(np.float64)
+    return np.asarray(arr.reshape(-1, arr.shape[-1]), dtype=np.float64)
+
+
+def _token_blocks(x) -> list:
+    """Row views of x, PLANE_CORR_TOKENS tokens each; one empty block if x is."""
+    step = actquant.PLANE_CORR_TOKENS
+    return [x[i : i + step] for i in range(0, max(len(x), 1), step)]
 
 
 def _nonlinearity(name: str):
@@ -43,11 +58,11 @@ def cmd_quantize(args) -> int:
     )
     cfg.validate()
     nl = _nonlinearity(args.nl)
-    acts = [_load_matrix(p) for p in args.calib]
+    acts = [blk for p in args.calib for blk in _token_blocks(_load_matrix(p))]
     layers = []
     reports = []
     t0 = time.perf_counter()
-    for wpath in args.weights:
+    for i, wpath in enumerate(args.weights):
         w = tensorio.read_tensor(wpath)
         if w.ndim != 2:
             raise DataError(f"{wpath}: weight tensor must be rank 2, got {w.ndim}")
@@ -59,12 +74,18 @@ def cmd_quantize(args) -> int:
         cfg.validate(n_cols=w.shape[1])
         stats = calibration.calibrate(acts, cfg)
         layer, report = weightquant.quantize_linear(w, stats, cfg)
-        layer = replace(
-            layer, plane_corr=actquant.plane_corrections(np.vstack(acts), layer)
-        )
+        layer = replace(layer, plane_corr=actquant.plane_corrections(acts, layer))
         layers.append(layer)
         reports.append(report.to_dict())
-        acts = [nl(a @ w.T) for a in acts]
+        if i + 1 < len(args.weights):
+            # a layer that keeps the width writes its output over the block;
+            # one that changes it swaps the block for a new one
+            for k, blk in enumerate(acts):
+                out = nl(blk @ w.T)
+                if out.shape == blk.shape:
+                    blk[...] = out
+                else:
+                    acts[k] = out
     modelio.write_model(layers, args.out)
     elapsed = time.perf_counter() - t0
 

@@ -25,7 +25,6 @@ from .calibration import CalibrationStats
 from .config import QuantConfig
 from .errors import ConfigError, DataError
 
-_QUANTILES_4 = (0.125, 0.375, 0.625, 0.875)
 _QUANTILES_2 = (0.25, 0.75)
 
 
@@ -145,24 +144,6 @@ def _weighted_quantiles(w, hw, probs):
     return out
 
 
-def init_centers(w, hw) -> np.ndarray:
-    """Initial centers from weighted quantiles at 1/8, 3/8, 5/8, 7/8.
-
-    Subgroup 0 takes the inner two quantiles, subgroup 1 the outer two, so
-    the wide subgroup brackets the distribution tails. Shape (..., 2, 2).
-    """
-    w, hw = _check_group_inputs(w, hw)
-    if w.shape[-1] < 4:
-        raise DataError(f"need at least 4 elements per group, got {w.shape[-1]}")
-    q18, q38, q58, q78 = _weighted_quantiles(w, hw, _QUANTILES_4)
-    centers = np.empty(w.shape[:-1] + (2, 2), dtype=np.float64)
-    centers[..., 0, 0] = q38
-    centers[..., 0, 1] = q58
-    centers[..., 1, 0] = q18
-    centers[..., 1, 1] = q78
-    return centers
-
-
 def e_step(w, hw, centers):
     """Assign each element to the nearest center under hw-weighted squared
     distance; exact ties go to the smaller (s, q) pair."""
@@ -217,9 +198,10 @@ def optimal_partition(w, hw):
     values is exact (Wang & Song, Ckmeans.1d.dp, R Journal 3(2), 2011).
     Rows are centered at their weighted mean before the prefix sums, which
     keeps the S2 - S1^2/S0 interval costs free of cancellation under large
-    common offsets. Ascending clusters map onto the init_centers layout:
-    the outer pair is subgroup 1, the inner pair subgroup 0. Returns
-    (s_bits, q_bits) in input order.
+    common offsets. The four ascending clusters map onto the (subgroup, q)
+    center layout: the outer pair is subgroup 1, the inner pair subgroup 0,
+    and q selects the upper cluster of its pair. Returns (s_bits, q_bits) in
+    input order.
     """
     w, hw = _check_group_inputs(w, hw)
     n = w.shape[-1]

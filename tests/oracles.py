@@ -1,7 +1,8 @@
 """Independent brute-force references for the test suite.
 
 These deliberately share no code with the package under test: plain loops,
-an interval dynamic program and numpy's own bit packing only. The one import
+an interval dynamic program, numpy's own bit packing and scipy's Cholesky
+routines only. The one import
 from bwaq is its DataError, which the scalar bit blocks raise on a length
 mismatch as they did when they lived in the package.
 """
@@ -9,6 +10,7 @@ mismatch as they did when they lived in the package.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from bwaq.errors import DataError
 
@@ -314,3 +316,17 @@ def plane_corrections_reference(x, layer) -> np.ndarray:
     )
     mean = ((scales + delta) / scales).mean(axis=0)
     return (np.rint(mean * 4096) / 4096).astype(np.float32)
+
+
+def damped_inverse_cholesky_reference(hessian, damp_frac: float) -> np.ndarray:
+    """The retired inverse-factor path: factor H + lambda*I, solve it against
+    the identity, symmetrize the inverse by averaging it with its transpose,
+    and factor that again. lambda = damp_frac * mean(diag(H)), or damp_frac
+    for a zero diagonal."""
+    h = np.asarray(hessian, dtype=np.float64)
+    n = h.shape[0]
+    mean_diag = float(np.mean(np.diag(h)))
+    lam = damp_frac * mean_diag if mean_diag > 0 else damp_frac
+    chol = scipy.linalg.cholesky(h + lam * np.eye(n), lower=False)
+    inv = scipy.linalg.cho_solve((chol, False), np.eye(n))
+    return scipy.linalg.cholesky((inv + inv.T) / 2.0, lower=False)

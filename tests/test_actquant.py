@@ -235,6 +235,27 @@ class TestPlaneCorrections:
         assert got.dtype == np.float32 and got.shape == (3, 4)
         assert np.array_equal(got, plane_corrections_reference(x, layer))
 
+    @pytest.mark.parametrize("rows", [1, PLANE_CORR_TOKENS - 1, PLANE_CORR_TOKENS, 300])
+    def test_token_blocks_match_whole_matrix(self, rows):
+        rng = np.random.default_rng(rows)
+        layer = random_layer(rng, 1, 128 + 3 * 64, 64, 128)
+        x = rng.normal(size=(1000, layer.cols)) * rng.uniform(0.1, 10, size=layer.cols)
+        blocks = [x[i : i + rows] for i in range(0, len(x), rows)]
+        assert np.array_equal(plane_corrections(blocks, layer), plane_corrections(x, layer))
+
+    def test_ragged_blocks_match_whole_matrix(self, rng):
+        layer = random_layer(rng, 1, 128 + 3 * 64, 64, 128)
+        x = rng.normal(size=(1000, layer.cols)) * rng.uniform(0.1, 10, size=layer.cols)
+        cuts = [0, 0, 3, 259, 260, 700, 1000]  # an empty block and uneven sizes
+        blocks = tuple(x[a:b] for a, b in zip(cuts, cuts[1:]))
+        assert np.array_equal(plane_corrections(blocks, layer), plane_corrections(x, layer))
+
+    def test_block_of_wrong_width_rejected(self, rng):
+        layer = random_layer(rng, 1, 2 * 64, 64, 0)
+        blocks = [rng.normal(size=(8, 2 * 64)), rng.normal(size=(8, 2 * 64 + 1))]
+        with pytest.raises(DataError, match="perm length"):
+            plane_corrections(blocks, layer)
+
     def test_corrections_lie_on_the_grid(self, rng):
         layer = random_layer(rng, 1, 128 + 4 * 64, 64, 128)
         x = rng.normal(size=(300, layer.cols)) * rng.uniform(0.1, 10, size=layer.cols)

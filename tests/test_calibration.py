@@ -11,6 +11,9 @@ from bwaq import (
     channel_permutation,
     damped_inverse_cholesky,
 )
+from bwaq.actquant import PLANE_CORR_TOKENS
+
+from oracles import damped_inverse_cholesky_reference
 
 
 def test_identity_sample():
@@ -45,6 +48,29 @@ def test_order_independence(rng):
     a = accumulate_hessian(samples).hessian
     b = accumulate_hessian(samples[::-1]).hessian
     assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
+
+
+def test_token_blocks_match_one_sample(rng):
+    x = rng.normal(size=(1000, 48)) * rng.uniform(0.1, 10, size=48)
+    blocks = [x[i : i + PLANE_CORR_TOKENS] for i in range(0, len(x), PLANE_CORR_TOKENS)]
+    whole = accumulate_hessian([x])
+    blocked = accumulate_hessian(blocks)
+    scale = np.abs(whole.hessian).max()
+    assert np.abs(blocked.hessian - whole.hessian).max() <= 1e-12 * scale
+    assert np.abs(blocked.hessian - 2.0 * x.T @ x).max() <= 1e-12 * scale
+    assert np.array_equal(blocked.hessian, blocked.hessian.T)
+    assert np.array_equal(blocked.act_scale, np.diag(blocked.hessian) / 2.0)
+
+
+def test_empty_blocks_are_skipped(rng):
+    x = rng.normal(size=(5, 4))
+    stats = accumulate_hessian([np.empty((0, 4)), x, np.empty((0, 4))])
+    assert np.allclose(stats.hessian, 2.0 * x.T @ x, rtol=1e-14, atol=0)
+
+
+def test_rejects_blocks_without_tokens():
+    with pytest.raises(DataError, match="no tokens"):
+        accumulate_hessian([np.empty((0, 4)), np.empty((0, 4))])
 
 
 def test_permutation_ascending():
@@ -124,6 +150,26 @@ def test_random_spd_reconstruction(rng):
         factor = damped_inverse_cholesky(h, 0.01)
         resid = factor.T @ factor @ (h + lam * np.eye(64)) - np.eye(64)
         assert np.linalg.norm(resid) < 1e-6
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_factor_matches_cho_solve_formula(rng, n):
+    a = rng.normal(size=(n, n))
+    h = a @ a.T
+    for damp in (0.01, 1e-4):
+        ref = damped_inverse_cholesky_reference(h, damp)
+        got = damped_inverse_cholesky(h, damp)
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("damp", [0.01, 1e-6])
+def test_factor_matches_cho_solve_formula_near_singular(rng, damp):
+    # rank 8 of 64: only the damping keeps the matrix positive definite
+    a = rng.normal(size=(64, 8)) * rng.uniform(0.1, 10, size=8)
+    h = a @ a.T
+    ref = damped_inverse_cholesky_reference(h, damp)
+    got = damped_inverse_cholesky(h, damp)
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_calibrate_assembles_permuted_factor(rng):

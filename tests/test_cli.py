@@ -1,9 +1,22 @@
+import contextlib
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bwaq import read_model, write_tensor
+from bwaq import (
+    QuantConfig,
+    calibrate,
+    plane_corrections,
+    quantize_linear,
+    read_model,
+    read_tensor,
+    write_model,
+    write_tensor,
+)
+from bwaq.actquant import PLANE_CORR_TOKENS
 from bwaq.cli import main
 
 
@@ -58,6 +71,65 @@ def test_quantize_smoke(toy_stack, capsys):
     layers = read_model(toy_stack["model"])
     assert len(layers) == 2
     assert layers[0].rows == 48 and layers[0].cols == 64
+
+
+def test_quantize_nan_past_first_block_exits_3(toy_stack, rng, capsys):
+    calib = rng.normal(size=(PLANE_CORR_TOKENS + 44, 64))
+    calib[-1, -1] = np.nan
+    write_tensor(toy_stack["calib"], calib)
+    assert main(_quantize_args(toy_stack)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"tokens {PLANE_CORR_TOKENS}-{PLANE_CORR_TOKENS + 43}" in err
+    assert "non-finite" in err
+    assert not toy_stack["model"].exists()
+    assert not (toy_stack["model"].parent / "model.bwaq.report.json").exists()
+
+
+def _square_relu_stack(tmp_path, rng, tokens, width=256, layers=2):
+    weights = [tmp_path / f"w{i}.bwat" for i in range(layers)]
+    for path in weights:
+        write_tensor(path, rng.normal(size=(width, width)) / np.sqrt(width))
+    write_tensor(tmp_path / "calib.bwat", rng.normal(size=(tokens, width)))
+    return [
+        "quantize", "--weights", *map(str, weights), "--calib", str(tmp_path / "calib.bwat"),
+        "--nl", "relu", "--out", str(tmp_path / "model.bwaq"),
+    ]
+
+
+def test_quantize_walks_the_documented_block_pipeline(tmp_path, rng):
+    # square layers overwrite each calibration block with its output in place;
+    # the stack must still be what the library calls give on fresh blocks
+    argv = _square_relu_stack(tmp_path, rng, 600, width=64, layers=3)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--group-size", "16", "--outliers", "16"]) == 0
+    x = read_tensor(tmp_path / "calib.bwat")
+    acts = [x[i : i + PLANE_CORR_TOKENS] for i in range(0, 600, PLANE_CORR_TOKENS)]
+    cfg = QuantConfig(group_size=16, outliers=16)
+    expected = []
+    for i in range(3):
+        w = read_tensor(tmp_path / f"w{i}.bwat")
+        layer, _ = quantize_linear(w, calibrate(acts, cfg), cfg)
+        layer.plane_corr = plane_corrections(acts, layer)
+        expected.append(layer)
+        acts = [np.maximum(a @ w.T, 0.0) for a in acts]
+    write_model(expected, tmp_path / "expected.bwaq")
+    assert (tmp_path / "model.bwaq").read_bytes() == (tmp_path / "expected.bwaq").read_bytes()
+
+
+def test_quantize_peak_memory_grows_by_at_most_two_activation_copies(tmp_path):
+    peaks = {}
+    for tokens in (1024, 8192):
+        argv = _square_relu_stack(tmp_path, np.random.default_rng(0), tokens)
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            peaks[tokens] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    copy = (8192 - 1024) * 256 * 8  # one float64 copy of the added tokens
+    assert peaks[8192] - peaks[1024] <= 2.0 * copy, (peaks[8192] - peaks[1024]) / copy
 
 
 def test_quantize_missing_file(toy_stack, capsys):

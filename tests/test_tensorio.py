@@ -55,3 +55,30 @@ def test_dims_whose_product_overflows_int64_rejected(tmp_path):
     path.write_bytes(header + struct.pack("<B", 1))
     with pytest.raises(FormatError, match="unexpected end of file"):
         read_tensor(path)
+
+
+def test_read_returns_writeable_array_of_its_own(tmp_path, rng):
+    path = tmp_path / "t.bwat"
+    write_tensor(path, rng.normal(size=(300, 8)))
+    back = read_tensor(path)
+    assert back.flags.writeable and back.flags.owndata and back.flags.c_contiguous
+
+
+def test_empty_tensor_round_trip(tmp_path):
+    path = tmp_path / "t.bwat"
+    write_tensor(path, np.zeros((0, 3)))
+    assert read_tensor(path).shape == (0, 3)
+
+
+def test_zero_dim_beside_a_huge_one_rejected(tmp_path):
+    # 0 elements, so the size check passes; numpy cannot shape the array
+    header = b"BWAT" + struct.pack("<II", 1, 2) + struct.pack("<2Q", 0, 2**63)
+    path = tmp_path / "huge.bwat"
+    path.write_bytes(header + struct.pack("<B", 1))
+    with pytest.raises(FormatError, match="exceed"):
+        read_tensor(path)
+
+
+def test_directory_raises_os_error(tmp_path):
+    with pytest.raises(IsADirectoryError):
+        read_tensor(tmp_path)

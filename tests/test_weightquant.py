@@ -15,7 +15,6 @@ from bwaq import (
     em_binarize,
     em_binarize_plain,
     gptq_compensate,
-    init_centers,
     m_step,
     quant_outliers_int8,
     quantize_linear,
@@ -24,32 +23,6 @@ from bwaq import (
 from bwaq.weightquant import clustering_loss, effective_centers
 
 from oracles import dp_optimal_clusters, enumerate_contiguous_optimum
-
-
-class TestInitCenters:
-    def test_constant_input(self):
-        centers = init_centers(np.full(128, 0.5), np.ones(128))
-        assert np.all(centers == 0.5)
-
-    def test_two_point_distribution(self):
-        centers = init_centers(np.array([-1.0, -1.0, 1.0, 1.0]), np.ones(4))
-        values = set(centers.ravel().tolist())
-        assert -1.0 in values and 1.0 in values
-
-    def test_uniform_grid_frozen(self):
-        # inverse-CDF quantiles of 0..127 at {1/8, 3/8, 5/8, 7/8}
-        centers = init_centers(np.arange(128.0), np.ones(128))
-        assert sorted(centers.ravel().tolist()) == [15.0, 47.0, 79.0, 111.0]
-
-    def test_subgroup_layout(self):
-        centers = init_centers(np.arange(128.0), np.ones(128))
-        assert centers[1, 0] <= centers[0, 0] <= centers[0, 1] <= centers[1, 1]
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(DataError):
-            init_centers(np.array([1.0, np.nan, 2.0, 3.0]), np.ones(4))
-        with pytest.raises(DataError):
-            init_centers(np.arange(4.0), np.array([1.0, 0.0, 1.0, 1.0]))
 
 
 class TestESten:
@@ -93,7 +66,7 @@ class TestMStep:
     def test_canonical_order(self, rng):
         w = rng.normal(size=32)
         hw = rng.uniform(0.5, 2, size=32)
-        centers = init_centers(w, hw)
+        centers = rng.normal(size=(2, 2))
         s, q = e_step(w, hw, centers)
         out = m_step(w, hw, s, q, centers)
         assert np.all(out[..., 1] >= out[..., 0])
