@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Sweep the weight-quantizer ablations on synthetic data.
 
-Prints Hessian-weighted reconstruction error for: equally spaced 2-bit RTN,
-clustered centers without the fine-grained split, the full pipeline, and the
-full pipeline without block compensation. Lower is better; the ordering
-mirrors the accuracy ordering seen at model scale.
+Prints two errors for: equally spaced 2-bit RTN, clustered centers without
+the fine-grained split, the full pipeline, and the full pipeline without
+block compensation. weighted_error is the squared weight change weighted by
+1/diag(H^-1); output_error is trace(dW H dW^T), the layer-output error that
+block compensation minimises. Lower is better for both.
 """
 
 import argparse
@@ -31,7 +32,7 @@ def main() -> None:
         "full (clustered + fine group)": base,
         "full, no compensation": replace(base, compensate=False),
     }
-    totals = {name: [] for name in variants}
+    totals = {name: ([], []) for name in variants}
     for seed in range(args.seeds):
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(args.rows, args.cols))
@@ -39,11 +40,13 @@ def main() -> None:
         stats = calibrate([x], base)
         for name, cfg in variants.items():
             _, report = quantize_linear(w, stats, cfg)
-            totals[name].append(report.weighted_error)
+            totals[name][0].append(report.weighted_error)
+            totals[name][1].append(report.output_error)
 
-    print(f"{'variant':32s} {'weighted error (mean over seeds)':>34s}")
-    for name, vals in totals.items():
-        print(f"{name:32s} {np.mean(vals):>34.2f}")
+    print(f"means over {args.seeds} seeds")
+    print(f"{'variant':32s} {'weighted_error':>18s} {'output_error':>18s}")
+    for name, (weighted, out) in totals.items():
+        print(f"{name:32s} {np.mean(weighted):>18.2f} {np.mean(out):>18.2f}")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from .weightquant import (
     dequant_weights,
     e_step,
     em_binarize,
-    em_binarize_plain,
     gptq_compensate,
     m_step,
     quant_outliers_int8,
@@ -59,7 +58,6 @@ __all__ = [
     "dequant_weights",
     "e_step",
     "em_binarize",
-    "em_binarize_plain",
     "forward",
     "forward_reference",
     "gptq_compensate",

@@ -31,6 +31,8 @@ def _load_matrix(path) -> np.ndarray:
     arr = tensorio.read_tensor(path)
     if arr.ndim < 2:
         raise DataError(f"{path}: expected a matrix, got rank {arr.ndim}")
+    if arr.shape[-1] == 0:
+        raise DataError(f"{path}: tensor has zero channels, shape {arr.shape}")
     return np.asarray(arr.reshape(-1, arr.shape[-1]), dtype=np.float64)
 
 
@@ -309,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--calib", nargs="+", required=True)
     q.add_argument("--group-size", type=int, default=128)
     q.add_argument("--outliers", type=int, default=128)
-    q.add_argument("--em-iters", type=int, default=8)
+    q.add_argument(
+        "--em-iters", type=int, default=8, help="checked to be >= 1; has no effect"
+    )
     q.add_argument("--damp", type=float, default=0.01)
     q.add_argument("--clip", type=float, default=1.0)
     q.add_argument("--nl", choices=["none", "relu"], default="none")

@@ -11,9 +11,9 @@ class QuantConfig:
 
     group_size:   number of input channels per channel-wise group (B).
     outliers:     number of highest-activation channels kept at INT8 (K).
-    em_iters:     cap on e/m refinement steps per group after the exact
-                  4-center seed; the loop stops at the first assignment
-                  step that leaves the assignment unchanged.
+    em_iters:     validated (>= 1) but has no effect: the exact partition
+                  is already a fixed point of e/m steps, so none run. Kept
+                  because --em-iters is part of the CLI contract.
     damp:         Hessian damping as a fraction of mean(diag(H)).
     act_bits:     activation bit width before bitplane decomposition.
     clip_ratio:   RTN range clipping ratio in (0, 1].

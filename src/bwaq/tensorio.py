@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
+from .modelio import atomic_output
 
 MAGIC = b"BWAT"
 VERSION = 1
@@ -30,11 +31,13 @@ _DTYPE_CODES = {np.dtype("float32"): 0, np.dtype("float64"): 1}
 
 
 def write_tensor(path, array) -> None:
+    """Write array to path atomically: on any error path keeps its old
+    content and no temporary file is left behind."""
     array = np.ascontiguousarray(array)
     if array.dtype not in _DTYPE_CODES:
         array = array.astype(np.float64)
     code = _DTYPE_CODES[array.dtype]
-    with open(path, "wb") as fh:
+    with atomic_output(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, array.ndim))
         fh.write(struct.pack(f"<{array.ndim}Q", *array.shape))

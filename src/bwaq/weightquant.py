@@ -2,12 +2,14 @@
 two-subgroup fine structure, block error compensation, INT8 outlier block.
 
 Every (output row, channel group) pair is clustered independently into at
-most four center values: an exact interval DP over the sorted values finds
-the optimal partition, and e/m steps run from it until the assignment stops
-changing. The centers are encoded as a sign bit, a subgroup bit, and one
-(alpha, beta) affine pair per subgroup. Centers are canonically ordered so
-the sign bit always selects the upper center of its subgroup. The sign bit
-maps to +/-1 at dequantization: dequant(q) = alpha*(2q - 1) + beta.
+most four center values (two without the fine-grained split): an exact
+interval DP over the sorted values finds the optimal partition, and the
+centers are its clusters' weighted means. That optimum is already a fixed
+point of e/m steps, so no e/m loop follows it. The centers are encoded as
+a sign bit, a subgroup bit, and one (alpha, beta) affine pair per subgroup.
+Centers are canonically ordered so the sign bit always selects the upper
+center of its subgroup. The sign bit maps to +/-1 at dequantization:
+dequant(q) = alpha*(2q - 1) + beta.
 
 Row groups within a block are independent and processed as one vectorized
 batch; blocks are strictly sequential because compensation mutates the
@@ -24,8 +26,6 @@ from .bits import pack_bits, unpack_bits, words_for
 from .calibration import CalibrationStats
 from .config import QuantConfig
 from .errors import ConfigError, DataError
-
-_QUANTILES_2 = (0.25, 0.75)
 
 
 @dataclass
@@ -124,26 +124,6 @@ def _check_group_inputs(w, hw):
     return w, hw
 
 
-def _weighted_quantiles(w, hw, probs):
-    """Inverse empirical CDF: smallest value whose cumulative weight reaches
-    p * total. Reduces to the classic nearest-rank rule for unit weights and
-    always returns actual data values, which keeps initial centers inside
-    populated regions."""
-    order = np.argsort(w, axis=-1, kind="stable")
-    w_sorted = np.take_along_axis(w, order, axis=-1)
-    hw_sorted = np.broadcast_to(hw, w.shape)
-    hw_sorted = np.take_along_axis(hw_sorted, order, axis=-1)
-    cumw = np.cumsum(hw_sorted, axis=-1)
-    total = cumw[..., -1:]
-    out = []
-    for p in probs:
-        target = p * total
-        idx = np.sum(cumw < target, axis=-1, keepdims=True)
-        idx = np.minimum(idx, w.shape[-1] - 1)
-        out.append(np.take_along_axis(w_sorted, idx, axis=-1)[..., 0])
-    return out
-
-
 def e_step(w, hw, centers):
     """Assign each element to the nearest center under hw-weighted squared
     distance; exact ties go to the smaller (s, q) pair."""
@@ -190,23 +170,26 @@ def clustering_loss(w, hw, centers, s_bits, q_bits) -> np.ndarray:
     return (hw * (w - assigned) ** 2).sum(axis=-1)
 
 
-def optimal_partition(w, hw):
-    """Globally optimal hw-weighted partition of each row into 4 clusters.
+def optimal_partition(w, hw, k: int = 4):
+    """Globally optimal hw-weighted partition of each row into k clusters,
+    k in {2, 4}.
 
     Optimal clusters of the 1-D weighted squared-error objective are
     contiguous in sorted order, so an interval DP over each row's sorted
     values is exact (Wang & Song, Ckmeans.1d.dp, R Journal 3(2), 2011).
     Rows are centered at their weighted mean before the prefix sums, which
     keeps the S2 - S1^2/S0 interval costs free of cancellation under large
-    common offsets. The four ascending clusters map onto the (subgroup, q)
-    center layout: the outer pair is subgroup 1, the inner pair subgroup 0,
-    and q selects the upper cluster of its pair. Returns (s_bits, q_bits) in
-    input order.
+    common offsets. The k ascending clusters map onto the (subgroup, q)
+    center layout, q selecting the upper cluster of its pair: with k=4 the
+    outer pair is subgroup 1 and the inner pair subgroup 0; with k=2 both
+    clusters are in subgroup 0. Returns (s_bits, q_bits) in input order.
     """
+    if k not in (2, 4):
+        raise ConfigError(f"k must be 2 or 4, got {k}")
     w, hw = _check_group_inputs(w, hw)
     n = w.shape[-1]
-    if n < 4:
-        raise DataError(f"need at least 4 elements per group, got {n}")
+    if n < k:
+        raise DataError(f"need at least {k} elements per group, got {n}")
     flat = w.reshape(-1, n)
     order = np.argsort(flat, axis=-1, kind="stable")
     v = np.take_along_axis(flat, order, axis=-1)
@@ -220,103 +203,53 @@ def optimal_partition(w, hw):
 
     # cost(i, j) = S2 - S1^2/S0 over sorted [i, j). The S2 prefix terms
     # telescope out of every minimum, so level m carries only
-    # e[m-1, j] = D_m[j] - P2[j], and one S1^2/S0 slab per right end j
-    # serves both levels 2 and 3.
-    e = np.full((3,) + p0.shape, np.inf)
+    # e[m, j] = D_{m+1}[j] - P2[j], and one S1^2/S0 slab per right end j
+    # serves every level below the last, which the backtrack solves.
+    e = np.full((k - 1,) + p0.shape, np.inf)
     e[0, 1:] = -p1[1:] ** 2 / p0[1:]
-    for j in range(2, n):
+    for j in range(2, n) if k > 2 else ():
         slab = (p1[j] - p1[:j]) ** 2 / (p0[j] - p0[:j])
-        e[1, j] = (e[0, 1:j] - slab[1:]).min(axis=0)
-        if j >= 3:
-            e[2, j] = (e[1, 2:j] - slab[2:]).min(axis=0)
+        for m in range(1, min(k - 1, j)):
+            e[m, j] = (e[m - 1, m:j] - slab[m:]).min(axis=0)
 
     rows = np.arange(flat.shape[0])
     idx = np.arange(n + 1)[:, None]
-
-    def last_boundary(m, right):
+    pos = np.arange(n)
+    right = np.full(rows.size, n)
+    cluster = np.zeros((rows.size, n), dtype=np.int64)
+    for m in range(k - 1, 0, -1):
         # start of the last of m + 1 clusters ending at `right`, per row
         with np.errstate(divide="ignore", invalid="ignore"):
             slab = (p1[right, rows] - p1) ** 2 / (p0[right, rows] - p0)
             cand = np.where((idx >= m) & (idx < right), e[m - 1] - slab, np.inf)
-        return np.argmin(cand, axis=0)
-
-    b3 = last_boundary(3, np.full(rows.size, n))
-    b2 = last_boundary(2, b3)
-    b1 = last_boundary(1, b2)
-    pos = np.arange(n)
-    cluster = (
-        (pos >= b1[:, None]).astype(np.int64)
-        + (pos >= b2[:, None])
-        + (pos >= b3[:, None])
-    )
+        right = np.argmin(cand, axis=0)
+        cluster += pos >= right[:, None]
     labels = np.empty_like(cluster)
     np.put_along_axis(labels, order, cluster, axis=-1)
-    s_bits = ((labels == 0) | (labels == 3)).astype(np.uint8).reshape(w.shape)
-    q_bits = (labels >= 2).astype(np.uint8).reshape(w.shape)
+    s_bits = ((k == 4) & ((labels == 0) | (labels == 3))).astype(np.uint8).reshape(w.shape)
+    q_bits = (labels >= k // 2).astype(np.uint8).reshape(w.shape)
     return s_bits, q_bits
 
 
-def em_binarize(w, hw, iters: int) -> EmResult:
-    """Exact 4-center clustering of each group, refined by e/m steps.
+def em_binarize(w, hw, iters: int, k: int = 4) -> EmResult:
+    """Exact k-center clustering of each group, k in {2, 4}.
 
-    The seed is the globally optimal partition from optimal_partition, with
-    centers from m_step so that constant clusters stay exact. At most
-    `iters` e/m steps follow; the loop stops at the first assignment step
-    that gives back the previous assignment, because from a fixed point no
-    further step changes bits, centers or loss. The recorded loss history is
-    evaluated after each assignment step and is non-increasing; the emitted
-    bits are always those of an assignment step on the returned centers.
+    The bits are the globally optimal partition from optimal_partition and
+    the centers its clusters' weighted means from m_step, so constant
+    clusters stay exact; with k=2 subgroup 1 is empty and its centers are 0.
+    With k=4 one e_step then reassigns exact ties to the smaller (s, q)
+    pair. The optimum is a fixed point of e/m steps, so none follow: `iters`
+    is validated (>= 1) but has no effect, and `history` holds the one loss.
     """
     if iters < 1:
         raise DataError(f"iters must be >= 1, got {iters}")
     w, hw = _check_group_inputs(w, hw)
-    s_bits, q_bits = optimal_partition(w, hw)
+    s_bits, q_bits = optimal_partition(w, hw, k)
     centers = m_step(w, hw, s_bits, q_bits, np.zeros(w.shape[:-1] + (2, 2)))
-    history = []
-    for _ in range(iters):
-        s_new, q_new = e_step(w, hw, centers)
-        history.append(clustering_loss(w, hw, centers, s_new, q_new))
-        if np.array_equal(s_new, s_bits) and np.array_equal(q_new, q_bits):
-            break
-        s_bits, q_bits = s_new, q_new
-        centers = m_step(w, hw, s_bits, q_bits, centers)
-    else:
+    if k == 4:
         s_bits, q_bits = e_step(w, hw, centers)
-        history.append(clustering_loss(w, hw, centers, s_bits, q_bits))
-    return EmResult(
-        s_bits=s_bits, q_bits=q_bits, centers=centers, loss=history[-1], history=history
-    )
-
-
-def em_binarize_plain(w, hw, iters: int) -> EmResult:
-    """Single-subgroup variant: two free centers, subgroup bit forced to 0."""
-    if iters < 1:
-        raise DataError(f"iters must be >= 1, got {iters}")
-    w, hw = _check_group_inputs(w, hw)
-    lo, hi = _weighted_quantiles(w, hw, _QUANTILES_2)
-    centers2 = np.stack([lo, hi], axis=-1)
-    for _ in range(iters):
-        dist = hw[:, None] * (w[..., :, None] - centers2[..., None, :]) ** 2
-        q_bits = np.argmin(dist, axis=-1)
-        onehot = q_bits[..., :, None] == np.arange(2)
-        den = (hw[:, None] * onehot).sum(axis=-2)
-        first = np.argmax(onehot, axis=-2)
-        anchor = np.take_along_axis(w, first, axis=-1)
-        num = ((hw[:, None] * (w[..., :, None] - anchor[..., None, :])) * onehot).sum(axis=-2)
-        new = np.where(den > 0, anchor + num / np.where(den > 0, den, 1.0), centers2)
-        centers2 = np.sort(new, axis=-1)
-    dist = hw[:, None] * (w[..., :, None] - centers2[..., None, :]) ** 2
-    q_bits = np.argmin(dist, axis=-1).astype(np.uint8)
-    assigned = np.take_along_axis(centers2, q_bits.astype(np.int64), axis=-1)
-    loss = (hw * (w - assigned) ** 2).sum(axis=-1)
-    centers = np.zeros(centers2.shape[:-1] + (2, 2), dtype=np.float64)
-    centers[..., 0, :] = centers2
-    return EmResult(
-        s_bits=np.zeros_like(q_bits),
-        q_bits=q_bits,
-        centers=centers,
-        loss=loss,
-    )
+    loss = clustering_loss(w, hw, centers, s_bits, q_bits)
+    return EmResult(s_bits=s_bits, q_bits=q_bits, centers=centers, loss=loss, history=[loss])
 
 
 def rtn_binarize(w, clip: float = 1.0) -> EmResult:
@@ -472,15 +405,10 @@ def quantize_linear(w, stats: CalibrationStats, cfg: QuantConfig):
 
         if cfg.weight_mode == "rtn":
             res = rtn_binarize(blk, cfg.clip_ratio)
-        elif cfg.fine_grained:
-            res = em_binarize(blk, hw, cfg.em_iters)
         else:
-            res = em_binarize_plain(blk, hw, cfg.em_iters)
+            res = em_binarize(blk, hw, cfg.em_iters, 4 if cfg.fine_grained else 2)
 
-        aff = recover_affine(res.centers).astype(np.float32)
-        if not cfg.fine_grained and cfg.weight_mode == "em":
-            aff[..., 1, :] = 0.0
-        affine[:, g] = aff
+        affine[:, g] = recover_affine(res.centers).astype(np.float32)
 
         centers_eff = effective_centers(affine[:, g])
         deq = centers_eff[

@@ -139,6 +139,33 @@ def test_quantize_missing_file(toy_stack, capsys):
     assert "file not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["quantize", "eval"])
+def test_zero_channel_matrix_exits_3(toy_stack, capsys, command):
+    if command == "quantize":
+        write_tensor(toy_stack["calib"], np.zeros((3, 0)))
+        args = _quantize_args(toy_stack)
+        path = toy_stack["calib"]
+    else:
+        assert main(_quantize_args(toy_stack)) == 0
+        capsys.readouterr()
+        write_tensor(toy_stack["inputs"], np.zeros((3, 0)))
+        path = toy_stack["inputs"]
+        args = [
+            "eval",
+            "--model",
+            str(toy_stack["model"]),
+            "--inputs",
+            str(path),
+            "--reference",
+            str(toy_stack["w0"]),
+            str(toy_stack["w1"]),
+        ]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(path) in err and "zero channels" in err
+
+
 def test_inspect_directory_as_model_exits_2(tmp_path, capsys):
     assert main(["inspect", "--model", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -82,3 +82,18 @@ def test_zero_dim_beside_a_huge_one_rejected(tmp_path):
 def test_directory_raises_os_error(tmp_path):
     with pytest.raises(IsADirectoryError):
         read_tensor(tmp_path)
+
+
+def test_failed_write_keeps_old_file(tmp_path, rng, monkeypatch):
+    path = tmp_path / "t.bwat"
+    write_tensor(path, rng.normal(size=(4, 3)))
+    before = path.read_bytes()
+
+    def broken_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("bwaq.modelio.os.replace", broken_replace)
+    with pytest.raises(OSError, match="No space left on device"):
+        write_tensor(path, rng.normal(size=(5, 3)))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.bwat"]

@@ -13,7 +13,6 @@ from bwaq import (
     dequant_weights,
     e_step,
     em_binarize,
-    em_binarize_plain,
     gptq_compensate,
     m_step,
     quant_outliers_int8,
@@ -134,8 +133,15 @@ class TestEmBinarize:
                 hits += 1
         assert hits / total >= 0.60, f"EM matched DP on {hits}/{total} groups"
 
-    @pytest.mark.parametrize("case", ["offset", "ties", "constant"])
-    def test_exhaustive_optimum_hard_groups(self, rng, case):
+    @pytest.mark.parametrize(
+        "k, case",
+        [
+            pytest.param(k, case, id=case if k == 4 else f"{case}-k2")
+            for k in (4, 2)
+            for case in ("offset", "ties", "constant")
+        ],
+    )
+    def test_exhaustive_optimum_hard_groups(self, rng, k, case):
         # enumerate_contiguous_optimum sums each interval directly, so it
         # stays exact where a prefix-sum DP loses the optimum to cancellation
         for _ in range(60):
@@ -147,29 +153,35 @@ class TestEmBinarize:
                 w = rng.integers(0, 3, size=n).astype(np.float64) * 0.5
             else:
                 w = np.full(n, -2.75)
-            em = float(em_binarize(w, hw, 8).loss)
-            opt = enumerate_contiguous_optimum(w, hw, 4)
+            em = float(em_binarize(w, hw, 8, k=k).loss)
+            opt = enumerate_contiguous_optimum(w, hw, k)
             assert abs(em - opt) <= 1e-9 * max(1.0, opt), (case, w.tolist(), em, opt)
 
-    def test_batched_rows_match_dp(self, rng):
+    @pytest.mark.parametrize("k", [4, 2])
+    def test_batched_rows_match_dp(self, rng, k):
         # the shape quantize_linear uses: (rows, B) blocks with one shared hw
         w = rng.normal(size=(12, 128))
         hw = rng.uniform(0.5, 2.0, size=128)
-        res = em_binarize(w, hw, 8)
+        res = em_binarize(w, hw, 8, k=k)
         assert res.loss.shape == (12,)
         assert res.s_bits.shape == res.q_bits.shape == w.shape
         assert res.centers.shape == (12, 2, 2)
         for r in range(12):
-            opt = dp_optimal_clusters(w[r], hw, 4).loss
+            opt = dp_optimal_clusters(w[r], hw, k).loss
             assert abs(float(res.loss[r]) - opt) <= 1e-9 * max(1.0, opt)
-            one = em_binarize(w[r], hw, 8)
+            one = em_binarize(w[r], hw, 8, k=k)
             assert one.loss.shape == ()
             assert float(one.loss) == pytest.approx(float(res.loss[r]), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_rejects_unsupported_center_count(self, k):
+        with pytest.raises(ConfigError, match="k must be 2 or 4"):
+            em_binarize(np.arange(8.0), np.ones(8), 8, k=k)
 
     def test_plain_variant_two_centers(self, rng):
         w = rng.normal(size=32)
         hw = rng.uniform(0.5, 2.0, size=32)
-        res = em_binarize_plain(w, hw, 8)
+        res = em_binarize(w, hw, 8, k=2)
         assert np.all(res.s_bits == 0)
         assert np.unique(res.centers[..., 0, :]).size <= 2
         res4 = em_binarize(w, hw, 8)
