@@ -3,7 +3,6 @@
 from .actquant import (
     ActBitplanes,
     balance_scales,
-    decompose_bitplanes,
     plane_corrections,
     quantize_activations,
     reconstruct,
@@ -54,7 +53,6 @@ __all__ = [
     "channel_permutation",
     "counts",
     "damped_inverse_cholesky",
-    "decompose_bitplanes",
     "dequant_weights",
     "e_step",
     "em_binarize",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bits import pack_bits, unpack_bits, words_for
+from .bits import pack_bits, unpack_bits
 from .errors import DataError
 
 log = logging.getLogger(__name__)
@@ -34,41 +34,29 @@ def rtn_quantize(x, bits: int, clip: float = 1.0):
         raise DataError("non-finite activation values")
     if bits not in (2, 4, 8):
         raise DataError(f"unsupported bit width {bits}")
+    codes, mu, z = _rtn(x, float(2**bits - 1), clip)
+    return codes.astype(np.int64), mu, z
+
+
+def _rtn(x, qmax: float, clip: float):
+    """rtn_quantize on finite input; the codes stay float64."""
     if not 0 < clip <= 1:
         raise DataError(f"clip must be in (0, 1], got {clip}")
     lo = x.min(axis=-1)
     hi = x.max(axis=-1)
-    qmax = float(2**bits - 1)
     mu = clip * (hi - lo) / qmax
     mu = np.where(mu > 0, mu, 1.0)
     z = -np.rint(lo / mu)
-    codes = np.clip(np.rint(x / mu[..., None]) + z[..., None], 0, qmax)
-    return codes.astype(np.int64), mu, z
+    codes = np.rint(x / mu[..., None])
+    codes += z[..., None]
+    np.clip(codes, 0, qmax, out=codes)
+    return codes, mu, z
 
 
 def rtn_dequantize(codes, mu, z) -> np.ndarray:
     """mu * (code - z), the inverse map of rtn_quantize."""
     codes = np.asarray(codes, dtype=np.float64)
     return np.asarray(mu)[..., None] * (codes - np.asarray(z)[..., None])
-
-
-def decompose_bitplanes(codes, mu, z):
-    """Split INT4 codes into four bit planes.
-
-    Returns (planes, plane_scales, shift): planes holds bit a of each code in
-    a new axis before the element axis, plane_scales[a] = 2^a * mu (exact,
-    power-of-two scaling), shift = -mu * z.
-    """
-    codes = np.asarray(codes)
-    if codes.size and (codes.min() < 0 or codes.max() > 15):
-        raise DataError("codes out of INT4 range")
-    codes = codes.astype(np.uint8)
-    mu = np.asarray(mu, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    planes = np.stack([(codes >> a) & 1 for a in range(4)], axis=-2)
-    plane_scales = np.stack([np.ldexp(mu, a) for a in range(4)], axis=-1)
-    shift = -mu * z
-    return planes, plane_scales, shift
 
 
 @dataclass
@@ -108,7 +96,14 @@ def quantize_activations(
     x, group_size: int, outliers: int, perm=None, plane_corr=None, clip: float = 1.0
 ) -> ActBitplanes:
     """Permute channels, RTN-quantize each (token, group) to INT4 planes, and
-    quantize the trailing outlier channels to per-token INT8."""
+    quantize the trailing outlier channels to per-token INT8.
+
+    The permuted copy is checked for finiteness once. The INT4 codes are
+    computed once as uint8, and plane a is packed straight from them as
+    (code >> a) & 1, zero-padded to whole words. The plane scales are
+    ldexp(mu, a), times plane_corr when given. The result equals packing
+    the planes of rtn_quantize's codes bit for bit.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DataError(f"activations must be 2-D, got shape {x.shape}")
@@ -124,32 +119,31 @@ def quantize_activations(
             f"cannot split {c_in} channels into groups of {group_size} "
             f"with {outliers} outliers"
         )
-    xp = x[:, perm]
-    n_groups = n_bin // group_size
-    grouped = xp[:, :n_bin].reshape(tokens, n_groups, group_size)
-    codes, mu, z = rtn_quantize(grouped, 4, clip)
-    planes, plane_scales, shift = decompose_bitplanes(codes, mu, z)
+    xp = x.take(perm, axis=1)
+    if not np.isfinite(xp).all():
+        raise DataError("non-finite activation values")
+    grouped = xp[:, :n_bin].reshape(tokens, n_bin // group_size, group_size)
+    codes, mu, z = _rtn(grouped, 15.0, clip)
+    codes = codes.astype(np.uint8)[:, :, None]
+    planes = pack_bits((codes >> np.arange(4, dtype=np.uint8)[:, None]) & 1)
+    plane_scales = np.ldexp(mu[..., None], np.arange(4))
     if plane_corr is not None:
-        plane_scales = plane_scales * np.asarray(plane_corr, dtype=np.float64)[None, :, :]
-    packed = pack_bits(planes).reshape(tokens, n_groups, 4, words_for(group_size))
+        plane_scales *= np.asarray(plane_corr, dtype=np.float64)[None, :, :]
     if outliers:
-        out_codes, out_scale, out_zero = rtn_quantize(xp[:, n_bin:], 8, clip)
-        out_codes = out_codes.astype(np.uint8)
+        out_codes, out_scale, out_zero = _rtn(xp[:, n_bin:], 255.0, clip)
     else:
-        out_codes = np.zeros((tokens, 0), dtype=np.uint8)
-        out_scale = np.ones(tokens, dtype=np.float64)
-        out_zero = np.zeros(tokens, dtype=np.float64)
+        out_codes, out_scale, out_zero = np.zeros((tokens, 0)), np.ones(tokens), np.zeros(tokens)
     return ActBitplanes(
         tokens=tokens,
         group_size=group_size,
         outliers=outliers,
         perm=perm,
-        planes=packed,
+        planes=planes,
         mu=mu,
         zero=z,
         plane_scales=plane_scales,
-        shift=shift,
-        out_codes=out_codes,
+        shift=-mu * z,
+        out_codes=out_codes.astype(np.uint8),
         out_scale=out_scale,
         out_zero=out_zero,
     )

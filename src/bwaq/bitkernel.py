@@ -31,8 +31,8 @@ r - r1. Two backends produce them:
   while that stays below 2^24, so float32 holds it exactly.
 
 Both give the same integers on the grid. One float64 step combines them.
-The INT8 tail is a float64 product whose partial sums are integers below
-2^53.
+The INT8 tail's code part is float32 products over chunks of outlier
+channels, each exact below 2^24; its zero-point terms are float64.
 
 A layer is prepared once. `prepare` computes what depends on the layer
 alone: the (3, groups, words, rows) weight words, the float64 coefficients,
@@ -40,9 +40,9 @@ the combined constant-ones plane term (groups, rows) and the tail's
 per-row weight vectors. It stores them on the layer the first time
 `forward` or `counts` sees it, about 1.34x the layer's serialized bytes at
 1024x1024, B=128, K=128; every later call does only token work. Unpacked
-weight bits and the tail's (rows, K) float64 matrix are rebuilt per call,
-as caching them would cost 12 bytes per weight and 8 bytes per outlier
-code. The prepared state is never serialized or compared, and
+weight bits and the tail's float32 weight codes are rebuilt per call, as
+caching them would cost 12 bytes per weight and 4 bytes per outlier code.
+The prepared state is never serialized or compared, and
 dataclasses.replace gives a layer without it. A layer is immutable once
 served: preparing makes the arrays it was built from read-only, so an
 in-place edit raises, and a layer whose arrays were replaced by assignment
@@ -79,6 +79,9 @@ GEMM_TOKENS = 128
 # float32 represents every integer up to 2^24; a GEMM sum can reach
 # group_size times the largest level of its group.
 GEMM_MAX_DOT = 2**24
+# Outlier channels per float32 product of the INT8 tail: each partial sum is
+# an integer of at most TAIL_CHANNELS * 255^2 < 2^24, so float32 holds it.
+TAIL_CHANNELS = 258
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,8 @@ class Prepared:
     coef_r:    (groups, rows) float64 coefficient of r.
     const:     (groups, rows) the constant-ones plane's counts times their
                coefficients, plus B * coef_r; a call adds shift @ const.
-    w_neg_sum: (rows,) float64 -sum of the INT8 weight codes.
-    w_zero:    (rows,) float64 INT8 weight zero points.
+    zero_tail: (2, rows) float64 -sum of the INT8 weight codes and the INT8
+               weight zero points.
     out_scale: (rows,) float64 INT8 weight scales.
     sources:   the layer arrays these were computed from.
     """
@@ -100,8 +103,7 @@ class Prepared:
     coef: np.ndarray
     coef_r: np.ndarray
     const: np.ndarray
-    w_neg_sum: np.ndarray
-    w_zero: np.ndarray
+    zero_tail: np.ndarray
     out_scale: np.ndarray
     sources: tuple
 
@@ -155,9 +157,9 @@ def _check_compatible(layer: QuantizedLinear, act: ActBitplanes) -> None:
         raise DataError("non-finite plane scales")
 
 
-def _token_steps(tokens: int, step: int):
-    for start in range(0, tokens, step):
-        yield slice(start, min(start + step, tokens))
+def _steps(n: int, step: int):
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
 
 
 def _weight_words(layer: QuantizedLinear) -> np.ndarray:
@@ -215,8 +217,9 @@ def prepare(layer: QuantizedLinear) -> Prepared:
         coef=coef,
         coef_r=coef_r,
         const=const,
-        w_neg_sum=-layer.out_codes.sum(axis=1, dtype=np.uint32).astype(np.float64),
-        w_zero=np.asarray(layer.out_zero, dtype=np.float64),
+        zero_tail=np.array(
+            [-layer.out_codes.sum(axis=1, dtype=np.uint32).astype(np.float64), layer.out_zero]
+        ),
         out_scale=np.asarray(layer.out_scale, dtype=np.float64),
         sources=sources,
     )
@@ -257,14 +260,15 @@ def _popcount_blocks(words: np.ndarray, act: ActBitplanes, weights: np.ndarray):
     GEMM_MIN_TOKENS tokens bound a large call routed here.
     """
     _, groups, n_words, rows = words.shape
-    for tok in _token_steps(act.tokens, GEMM_MIN_TOKENS):
+    for tok in _steps(act.tokens, GEMM_MIN_TOKENS):
         planes = act.planes[tok].transpose(1, 2, 0, 3)[..., None]
         # (3, groups, 4, tokens, rows): rows innermost keeps the broadcast in
         # long runs, and one weight plane and word at a time keeps the
         # temporaries small; the block is a transposed view
-        hits = np.zeros((3, groups, 4, planes.shape[2], rows), dtype=np.int32)
+        hits = np.empty((3, groups, 4, planes.shape[2], rows), dtype=np.int32)
         for k in range(3):
-            for w in range(n_words):
+            popcount(words[k, :, None, None, 0] & planes[..., 0, :], out=hits[k])
+            for w in range(1, n_words):
                 hits[k] += popcount(words[k, :, None, None, w] & planes[..., w, :])
         folded = np.einsum("kgatr,tga->kgtr", hits, weights[tok])
         yield tok, slice(None), folded.transpose(0, 3, 1, 2)
@@ -289,7 +293,7 @@ def _gemm_blocks(layer: QuantizedLinear, act: ActBitplanes, levels: np.ndarray):
         bits[0] = q[:, g]
         bits[2] = m[:, g]
         np.multiply(bits[0], bits[2], out=bits[1])
-        for tok in _token_steps(act.tokens, GEMM_TOKENS):
+        for tok in _steps(act.tokens, GEMM_TOKENS):
             p = unpack_bits(act.planes[tok, g], b)
             codes = p[:, 0] | p[:, 1] << 1 | p[:, 2] << 2 | p[:, 3] << 3
             hits = bits.reshape(3 * rows, b) @ table[g].take(codes).T
@@ -328,19 +332,18 @@ def counts(layer: QuantizedLinear, act: ActBitplanes) -> Counts:
 def _outlier_tail(layer: QuantizedLinear, act: ActBitplanes, prep: Prepared) -> np.ndarray:
     """INT8 outlier channels' contribution, shape (tokens, rows).
 
-    The sum over outlier channels of (a - za)(w - zw) is one float64
-    product [a, za, sum a, K za] @ [w, -sum w, -zw, zw]^T. With the integer
-    zero points the quantizers produce, every partial sum is an integer
-    below 2^53 (the code part at most K * 255^2), so the product is exact.
+    The sum over the K outlier channels of (a - za)(w - zw) is
+    sum a*w - za sum w + zw (K za - sum a). sum a*w is one float32 product
+    per TAIL_CHANNELS channels, added up in float64; the zero-point terms
+    are one float64 product [za, K za - sum a] @ [-sum w, zw]. The zero
+    points are integers, so while the sums stay below 2^53 every step is
+    exact and the result does not depend on their order.
     """
     k = layer.outliers
-    a_side = np.empty((act.tokens, k + 3))
-    a_side[:, :k] = act.out_codes
-    a_side[:, k:] = np.column_stack([act.out_zero, a_side[:, :k].sum(axis=1), k * act.out_zero])
-    w_side = np.empty((layer.rows, k + 3))
-    w_side[:, :k] = layer.out_codes
-    w_side[:, k:] = np.column_stack([prep.w_neg_sum, -prep.w_zero, prep.w_zero])
-    tail = a_side @ w_side.T
+    za = act.out_zero
+    tail = np.array([za, k * za - act.out_codes.sum(axis=1)]).T @ prep.zero_tail
+    for c in _steps(k, TAIL_CHANNELS):
+        tail += act.out_codes[:, c].astype(np.float32) @ layer.out_codes[:, c].astype(np.float32).T
     tail *= prep.out_scale
     tail *= act.out_scale[:, None]
     return tail

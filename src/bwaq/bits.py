@@ -41,6 +41,6 @@ def unpack_bits(words, nbits: int) -> np.ndarray:
     return bits[..., :nbits]
 
 
-def popcount(words) -> np.ndarray:
-    return np.bitwise_count(np.asarray(words, dtype=np.uint64))
+def popcount(words, out=None) -> np.ndarray:
+    return np.bitwise_count(np.asarray(words, dtype=np.uint64), out=out)
 

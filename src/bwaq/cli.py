@@ -33,13 +33,15 @@ def _load_matrix(path) -> np.ndarray:
         raise DataError(f"{path}: expected a matrix, got rank {arr.ndim}")
     if arr.shape[-1] == 0:
         raise DataError(f"{path}: tensor has zero channels, shape {arr.shape}")
+    if arr.size == 0:
+        raise DataError(f"{path}: tensor has zero tokens, shape {arr.shape}")
     return np.asarray(arr.reshape(-1, arr.shape[-1]), dtype=np.float64)
 
 
 def _token_blocks(x) -> list:
-    """Row views of x, PLANE_CORR_TOKENS tokens each; one empty block if x is."""
+    """Row views of x, PLANE_CORR_TOKENS tokens each."""
     step = actquant.PLANE_CORR_TOKENS
-    return [x[i : i + step] for i in range(0, max(len(x), 1), step)]
+    return [x[i : i + step] for i in range(0, len(x), step)]
 
 
 def _nonlinearity(name: str):

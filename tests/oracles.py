@@ -3,8 +3,8 @@
 These deliberately share no code with the package under test: plain loops,
 an interval dynamic program, numpy's own bit packing and scipy's Cholesky
 routines only. The one import
-from bwaq is its DataError, which the scalar bit blocks raise on a length
-mismatch as they did when they lived in the package.
+from bwaq is its DataError, which the scalar bit blocks and the retired
+activation decomposition raise as they did when they lived in the package.
 """
 
 from dataclasses import dataclass
@@ -330,3 +330,96 @@ def damped_inverse_cholesky_reference(hessian, damp_frac: float) -> np.ndarray:
     chol = scipy.linalg.cholesky(h + lam * np.eye(n), lower=False)
     inv = scipy.linalg.cho_solve((chol, False), np.eye(n))
     return scipy.linalg.cholesky((inv + inv.T) / 2.0, lower=False)
+
+
+def _rtn_reference(x, qmax: float, clip: float):
+    """Asymmetric RTN over the last axis with the quantizer's formulas, as
+    float64 arrays: (codes, mu, z)."""
+    lo = x.min(axis=-1)
+    hi = x.max(axis=-1)
+    mu = clip * (hi - lo) / qmax
+    mu = np.where(mu > 0, mu, 1.0)
+    z = -np.rint(lo / mu)
+    codes = np.clip(np.rint(x / mu[..., None]) + z[..., None], 0, qmax)
+    return codes, mu, z
+
+
+def decompose_bitplanes(codes, mu, z):
+    """Split INT4 codes into four bit planes.
+
+    Returns (planes, plane_scales, shift): planes holds bit a of each code in
+    a new axis before the element axis, plane_scales[a] = 2^a * mu (exact,
+    power-of-two scaling), shift = -mu * z.
+    """
+    codes = np.asarray(codes)
+    if codes.size and (codes.min() < 0 or codes.max() > 15):
+        raise DataError("codes out of INT4 range")
+    codes = codes.astype(np.uint8)
+    mu = np.asarray(mu, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    planes = np.stack([(codes >> a) & 1 for a in range(4)], axis=-2)
+    plane_scales = np.stack([np.ldexp(mu, a) for a in range(4)], axis=-1)
+    shift = -mu * z
+    return planes, plane_scales, shift
+
+
+def quantize_activations_reference(
+    x, group_size: int, outliers: int, perm=None, plane_corr=None, clip: float = 1.0
+) -> dict:
+    """The retired activation path, composed step by step: RTN the permuted
+    binarized channels to int64 INT4 codes, split them into four plane
+    arrays with decompose_bitplanes, scale the planes by plane_corr, pack
+    each plane with numpy's packbits into zero-padded 64-bit words, and RTN
+    the outlier channels to INT8. Returns the quantizer's fields by name.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    tokens, c_in = x.shape
+    perm = np.arange(c_in) if perm is None else np.asarray(perm, dtype=np.int64)
+    n_bin = c_in - outliers
+    xp = x[:, perm]
+    if not np.isfinite(xp).all():
+        raise DataError("non-finite activation values")
+    n_groups = n_bin // group_size
+    codes, mu, z = _rtn_reference(xp[:, :n_bin].reshape(tokens, n_groups, group_size), 15.0, clip)
+    planes, plane_scales, shift = decompose_bitplanes(codes.astype(np.int64), mu, z)
+    if plane_corr is not None:
+        plane_scales = plane_scales * np.asarray(plane_corr, dtype=np.float64)[None, :, :]
+    nbytes = 8 * ((group_size + 63) // 64)
+    packed = np.zeros(planes.shape[:-1] + (nbytes,), dtype=np.uint8)
+    packed[..., : (group_size + 7) // 8] = np.packbits(planes, axis=-1, bitorder="little")
+    if outliers:
+        out_codes, out_scale, out_zero = _rtn_reference(xp[:, n_bin:], 255.0, clip)
+    else:
+        out_codes, out_scale, out_zero = np.zeros((tokens, 0)), np.ones(tokens), np.zeros(tokens)
+    return {
+        "tokens": tokens,
+        "group_size": group_size,
+        "outliers": outliers,
+        "perm": perm,
+        "planes": packed.view(np.uint64),
+        "mu": mu,
+        "zero": z,
+        "plane_scales": plane_scales,
+        "shift": shift,
+        "out_codes": out_codes.astype(np.uint8),
+        "out_scale": out_scale,
+        "out_zero": out_zero,
+    }
+
+
+def outlier_tail_reference(a_codes, a_scale, a_zero, w_codes, w_scale, w_zero):
+    """The INT8 tail as one float64 product, (tokens, rows): the sum over
+    the K outlier channels of (a - za)(w - zw) is
+    [a, za, sum a, K za] @ [w, -sum w, -zw, zw]^T, then scaled by the weight
+    scales and the token scales in that order."""
+    a = np.asarray(a_codes, dtype=np.float64)
+    w = np.asarray(w_codes, dtype=np.float64)
+    za = np.asarray(a_zero, dtype=np.float64)
+    zw = np.asarray(w_zero, dtype=np.float64)
+    k = a.shape[1]
+    a_side = np.column_stack([a, za, a.sum(axis=1), k * za])
+    w_side = np.column_stack([w, -w.sum(axis=1), -zw, zw])
+    tail = a_side @ w_side.T
+    tail *= np.asarray(w_scale, dtype=np.float64)
+    tail *= np.asarray(a_scale, dtype=np.float64)[:, None]
+    return tail

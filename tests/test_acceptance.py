@@ -27,6 +27,7 @@ from bwaq import (
 from bwaq.actquant import quantize_activations, reconstruct
 from bwaq.bitkernel import bench_forward, counts, random_activations, random_layer
 from bwaq.bits import unpack_bits
+from bwaq.weightquant import clustering_loss
 
 from oracles import (
     dp_optimal_clusters,
@@ -102,6 +103,14 @@ def test_criterion_2_em_soundness():
         hist = np.stack([np.atleast_1d(h) for h in res.history])
         diffs = np.diff(hist, axis=0)
         violations += int((diffs > 1e-9 * np.maximum(hist[:-1], 1e-30)).sum())
+        # the history is the one exact loss, so the count above sees nothing
+        # on its own
+        assert len(res.history) == 1 and np.array_equal(res.history[0], res.loss)
+        want = clustering_loss(w, hw, res.centers, res.s_bits, res.q_bits)
+        assert np.allclose(res.loss, want, rtol=1e-12, atol=0)
+        if b <= 16:
+            opt = np.array([dp_optimal_clusters(row, hw, 4).loss for row in w])
+            assert np.allclose(res.loss, opt, rtol=1e-9, atol=1e-9)
     assert violations == 0
 
     # EM loss bounded below by the DP optimum on small groups

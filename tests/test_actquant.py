@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bwaq import DataError, balance_scales, decompose_bitplanes, rtn_dequantize, rtn_quantize
+from bwaq import DataError, balance_scales, rtn_dequantize, rtn_quantize
 from bwaq.actquant import (
     CORR_GRID,
     PLANE_CORR_TOKENS,
@@ -17,7 +17,13 @@ from bwaq.actquant import (
 from bwaq.bitkernel import random_layer
 from bwaq.bits import pack_bits
 
-from oracles import naive_rtn, plane_corrections_reference
+from oracles import (
+    decompose_bitplanes,
+    grid_corrections,
+    naive_rtn,
+    plane_corrections_reference,
+    quantize_activations_reference,
+)
 
 
 class TestRtnQuantize:
@@ -66,6 +72,9 @@ class TestRtnQuantize:
 
 
 class TestDecompose:
+    """The plane split: the reference's decompose_bitplanes, and the planes
+    quantize_activations packs."""
+
     def test_binary_expansion_of_13(self):
         planes, scales, shift = decompose_bitplanes(np.array([13]), np.array(0.2), np.array(5.0))
         # plane axis comes before the element axis
@@ -204,6 +213,55 @@ class TestQuantizeActivations:
         scaled = quantize_activations(x, group_size=16, outliers=0, plane_corr=corr)
         assert np.allclose(scaled.plane_scales, 1.5 * plain.plane_scales)
         assert np.array_equal(scaled.planes, plain.planes)
+
+    @pytest.mark.parametrize("on_grid", [False, True])
+    @pytest.mark.parametrize("outliers", [0, 128])
+    @pytest.mark.parametrize("group", [64, 96, 128])
+    def test_matches_reference(self, group, outliers, on_grid):
+        rng = np.random.default_rng([group, outliers, on_grid])
+        cols = outliers + 3 * group
+        perm = rng.permutation(cols)
+        corr = grid_corrections(rng, 3) if on_grid else None
+        binarized = perm[: 3 * group]
+        for tokens in (1, 2, 5, 12, 128, 300):
+            x = rng.normal(size=(tokens, cols)) * rng.uniform(0.01, 50, size=(tokens, 1))
+            x[::3, binarized[:group]] = 0.0  # an all-zero group
+            x[1::3, binarized[group : 2 * group]] = 0.37  # a constant group
+            if tokens > 1:
+                x[-1] = 0.0
+            got = quantize_activations(x, group, outliers, perm=perm, plane_corr=corr)
+            want = quantize_activations_reference(x, group, outliers, perm=perm, plane_corr=corr)
+            for name, value in want.items():
+                field = getattr(got, name)
+                assert np.array_equal(field, value), (tokens, name)
+                if isinstance(value, np.ndarray):
+                    assert field.dtype == value.dtype and field.shape == value.shape, name
+
+    def test_empty_token_batch_matches_reference(self, rng):
+        perm = rng.permutation(128 + 64)
+        got = quantize_activations(np.zeros((0, 192)), 64, 128, perm=perm)
+        want = quantize_activations_reference(np.zeros((0, 192)), 64, 128, perm=perm)
+        for name, value in want.items():
+            assert np.array_equal(getattr(got, name), value), name
+            assert np.shape(getattr(got, name)) == np.shape(value), name
+
+    @pytest.mark.parametrize(
+        "x, kwargs",
+        [
+            (np.zeros(64), {}),
+            (np.zeros((2, 64)), {"perm": np.arange(63)}),
+            (np.zeros((2, 64)), {"outliers": 8}),
+            (np.full((2, 64), np.nan), {}),
+            (np.pad(np.ones((2, 48)), ((0, 0), (0, 16)), constant_values=np.inf), {"outliers": 16}),
+            (np.zeros((2, 64)), {"clip": 0.0}),
+            (np.zeros((2, 64)), {"clip": 1.5}),
+        ],
+        ids=["rank", "perm", "split", "nan", "inf-outlier", "clip-0", "clip-1.5"],
+    )
+    def test_rejects_bad_input(self, x, kwargs):
+        kwargs = {"outliers": 0, **kwargs}
+        with pytest.raises(DataError):
+            quantize_activations(x, 16, **kwargs)
 
 
 def _degenerate_rows(x, layer, kind):

@@ -14,17 +14,19 @@ from bwaq import (
     read_model,
     write_model,
 )
-from bwaq.actquant import CORR_GRID, ActBitplanes, decompose_bitplanes, quantize_activations
+from bwaq.actquant import CORR_GRID, ActBitplanes, quantize_activations
 from bwaq.bitkernel import bench_forward, counts, grid_levels, random_activations, random_layer
 from bwaq.bits import pack_bits, unpack_bits
 
 from oracles import (
     BitBlock,
+    decompose_bitplanes,
     grid_corrections,
     grid_levels_of,
     group_counts,
     naive_counts,
     naive_folded_counts,
+    outlier_tail_reference,
     popc_and,
 )
 
@@ -370,6 +372,35 @@ class TestCounts:
         assert out.shape == (1024, 1024)
         # the 8 MB float64 output is part of the peak
         assert peak <= 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+class TestOutlierTail:
+    """The INT8 tail in float32 chunks against its one-product float64 form."""
+
+    @pytest.mark.parametrize("codes", ["random", "max"])
+    @pytest.mark.parametrize("outliers", [0, 1, 128, 258, 259, 300])
+    def test_matches_reference(self, outliers, codes):
+        rng = np.random.default_rng([outliers, codes == "max"])
+        layer = random_layer(rng, 40, outliers + 64, 64, outliers)
+        if codes == "max":
+            layer = replace(layer, out_codes=np.full_like(layer.out_codes, 255))
+        for tokens in (1, 3, 130):
+            act = random_activations(rng, tokens, layer)
+            if codes == "max":
+                act = replace(act, out_codes=np.full_like(act.out_codes, 255))
+            got = bitkernel._outlier_tail(layer, act, bitkernel.prepare(layer))
+            want = outlier_tail_reference(
+                act.out_codes, act.out_scale, act.out_zero, layer.out_codes, layer.out_scale, layer.out_zero
+            )
+            assert np.array_equal(got, want), tokens
+
+    @pytest.mark.parametrize("outliers", [0, 1, 128, 258, 259, 300])
+    def test_forward_matches_reference(self, rng, outliers):
+        layer = random_layer(rng, 40, outliers + 128, 64, outliers)
+        for tokens in (1, 3, 130):
+            act = random_activations(rng, tokens, layer)
+            want = forward_reference(layer, act)
+            assert np.abs(forward(layer, act) - want).max() <= 1e-9 * np.abs(want).max()
 
 
 class TestGridLevels:

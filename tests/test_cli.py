@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,35 @@ def test_zero_channel_matrix_exits_3(toy_stack, capsys, command):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert str(path) in err and "zero channels" in err
+
+
+@pytest.mark.parametrize("command", ["quantize", "eval"])
+def test_zero_token_matrix_exits_3(toy_stack, capsys, command):
+    if command == "quantize":
+        path = toy_stack["calib"]
+        args = _quantize_args(toy_stack)
+    else:
+        assert main(_quantize_args(toy_stack)) == 0
+        capsys.readouterr()
+        path = toy_stack["inputs"]
+        args = [
+            "eval",
+            "--model",
+            str(toy_stack["model"]),
+            "--inputs",
+            str(path),
+            "--reference",
+            str(toy_stack["w0"]),
+            str(toy_stack["w1"]),
+        ]
+    write_tensor(path, np.zeros((0, 64)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 3
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(path) in err and "zero tokens" in err
 
 
 def test_inspect_directory_as_model_exits_2(tmp_path, capsys):

@@ -97,6 +97,14 @@ class TestEmBinarize:
             res = em_binarize(w, hw, 8)
             hist = np.array([float(h) for h in res.history])
             assert np.all(np.diff(hist) <= 1e-9 * np.maximum(hist[:-1], 1e-30))
+            # the history is the one exact loss, so the check above is vacuous
+            # on its own
+            assert res.history == [res.loss]
+            want = clustering_loss(w, hw, res.centers, res.s_bits, res.q_bits)
+            assert float(res.loss) == pytest.approx(float(want), rel=1e-12, abs=1e-300)
+            if b <= 16:
+                opt = dp_optimal_clusters(w, hw, 4).loss
+                assert float(res.loss) == pytest.approx(opt, rel=1e-9, abs=1e-9)
 
     def test_final_bits_consistent_with_centers(self, rng):
         w = rng.normal(size=64)
