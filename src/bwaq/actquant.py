@@ -27,14 +27,19 @@ def rtn_quantize(x, bits: int, clip: float = 1.0):
     mu = clip * (max - min) / (2^bits - 1), z = -round(min/mu),
     codes = clamp(round(x/mu) + z, 0, 2^bits - 1). A zero range degenerates
     to mu = 1 with the same formulas, so constant inputs round-trip to
-    round(value). Returns (codes, mu, z); mu and z drop the last axis.
+    round(value). Returns (codes, mu, z); mu and z drop the last axis. An
+    overflow (a clip so small that z or x/mu is not finite) is a DataError.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise DataError("non-finite activation values")
     if bits not in (2, 4, 8):
         raise DataError(f"unsupported bit width {bits}")
-    codes, mu, z = _rtn(x, float(2**bits - 1), clip)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            codes, mu, z = _rtn(x, float(2**bits - 1), clip)
+    except FloatingPointError as exc:
+        raise DataError(f"clip {clip} leaves no finite {bits}-bit scale: {exc}") from None
     return codes.astype(np.int64), mu, z
 
 
@@ -219,9 +224,9 @@ def balance_scales(x_fp, bp: ActBitplanes) -> ActBitplanes:
     return replace(bp, plane_scales=bp.plane_scales + delta)
 
 
-# Calibration tokens per block in plane_corrections and in `bwaq quantize`'s
-# calibration set: bounds the temporaries of every per-layer stage, so peak
-# memory does not grow with the calibration set beyond the set itself.
+# Calibration tokens per block of `bwaq quantize`'s calibration set (and 4x
+# plane_corrections'): bounds the temporaries of every per-layer stage, so
+# peak memory does not grow with the calibration set beyond the set itself.
 PLANE_CORR_TOKENS = 256
 # Plane corrections are multiples of 1/CORR_GRID. Such values are exact in
 # float32, and on this grid a group's four corrected plane scales are
@@ -231,13 +236,18 @@ PLANE_CORR_TOKENS = 256
 CORR_GRID = 4096
 
 
-def plane_corrections(x, layer) -> np.ndarray:
+def plane_corrections(x, layer, perm=None) -> np.ndarray:
     """Per-(group, plane) multiplicative corrections learned from calibration
     data: the token-averaged ratio of balanced to unbalanced plane scales.
 
+    Only the channel layout is read: group_size and outliers of layer (a
+    QuantizedLinear or the QuantConfig it is quantized with), and perm,
+    layer.perm when None, so this can run before the weights are quantized.
+
     x is one token-major matrix or a sequence of them (token blocks of one
     calibration set), each cut again into blocks of at most
-    PLANE_CORR_TOKENS tokens. Each block's binarized channels are
+    PLANE_CORR_TOKENS // 4 tokens, small beside the weight clustering that
+    `bwaq quantize` runs meanwhile. Each block's binarized channels are
     RTN-quantized once, and the balancing of balance_scales runs on the INT4
     codes directly: with unit scales the reconstruction is exactly
     mu * (code - z), so no bit planes are packed or unpacked. The per-token
@@ -247,7 +257,7 @@ def plane_corrections(x, layer) -> np.ndarray:
     outlier channels only have to be finite.
     """
     blocks = [x] if isinstance(x, np.ndarray) else list(x)
-    perm = np.asarray(layer.perm, dtype=np.int64)
+    perm = np.asarray(layer.perm if perm is None else perm, dtype=np.int64)
     for shape in map(np.shape, blocks):
         if len(shape) != 2:
             raise DataError(f"activations must be 2-D, got shape {shape}")
@@ -264,11 +274,12 @@ def plane_corrections(x, layer) -> np.ndarray:
     n_groups = n_bin // b
     binarized = perm[:n_bin]
     ratio = np.empty((sum(len(blk) for blk in blocks), n_groups, 4))
+    step = PLANE_CORR_TOKENS // 4
     row = 0
     skipped = 0
     for blk in blocks:
-        for start in range(0, len(blk), PLANE_CORR_TOKENS):
-            xb = np.asarray(blk[start : start + PLANE_CORR_TOKENS], dtype=np.float64)
+        for start in range(0, len(blk), step):
+            xb = np.asarray(blk[start : start + step], dtype=np.float64)
             if not np.isfinite(xb).all():
                 raise DataError("non-finite activation values")
             grouped = xb[:, binarized].reshape(-1, n_groups, b)

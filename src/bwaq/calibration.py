@@ -75,7 +75,9 @@ def accumulate_hessian(samples) -> CalibrationStats:
     if total_tokens < 1:
         raise DataError("calibration samples contain no tokens")
     _mirror_upper(gram)
-    return CalibrationStats(hessian=2.0 * gram, act_scale=np.diag(gram).copy())
+    act_scale = np.diag(gram).copy()
+    gram *= 2.0
+    return CalibrationStats(hessian=gram, act_scale=act_scale)
 
 
 def channel_permutation(act_scale) -> np.ndarray:
@@ -86,11 +88,12 @@ def channel_permutation(act_scale) -> np.ndarray:
     return np.argsort(act_scale, kind="stable")
 
 
-def damped_inverse_cholesky(hessian, damp_frac: float) -> np.ndarray:
+def damped_inverse_cholesky(hessian, damp_frac: float, overwrite: bool = False) -> np.ndarray:
     """Upper Cholesky factor U with U^T U = (H + lambda*I)^-1.
 
     lambda = damp_frac * mean(diag(H)). Raises DataError with the failing
-    pivot index if the damped matrix is not positive definite.
+    pivot index if the damped matrix is not positive definite. overwrite
+    factors a Fortran-ordered float64 hessian in its own buffer.
     """
     h = np.asarray(hessian, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -106,7 +109,7 @@ def damped_inverse_cholesky(hessian, damp_frac: float) -> np.ndarray:
     lam = damp_frac * mean_diag if mean_diag > 0 else damp_frac
     # one Fortran-ordered buffer carries the damped matrix, its factor, the
     # inverse and the inverse's factor: LAPACK overwrites it at each step
-    work = np.array(h, order="F")
+    work = np.asarray(h, order="F") if overwrite else np.array(h, order="F")
     diag = np.arange(n)
     work[diag, diag] += lam
     # dpotrf reports the failing leading minor directly
@@ -132,5 +135,6 @@ def calibrate(samples, cfg: QuantConfig) -> CalibrationStats:
     stats = accumulate_hessian(samples)
     stats.perm = channel_permutation(stats.act_scale)
     h_perm = stats.hessian[np.ix_(stats.perm, stats.perm)]
-    stats.chol_inv = damped_inverse_cholesky(h_perm, cfg.damp)
+    # exactly symmetric: its C-ordered copy's .T is the Fortran buffer LAPACK needs
+    stats.chol_inv = damped_inverse_cholesky(h_perm.T, cfg.damp, overwrite=True)
     return stats

@@ -194,12 +194,14 @@ def optimal_partition(w, hw, k: int = 4):
     order = np.argsort(flat, axis=-1, kind="stable")
     v = np.take_along_axis(flat, order, axis=-1)
     h = hw[order]
-    v = v - (h * v).sum(axis=-1, keepdims=True) / h.sum(axis=-1, keepdims=True)
-    # prefix sums with rows on the inner axis, so each slab is contiguous
+    v -= (h * v).sum(axis=-1, keepdims=True) / h.sum(axis=-1, keepdims=True)
+    # prefix sums with rows on the inner axis, so each slab is contiguous;
+    # the temporaries work in place, as this runs beside calibration
     p0 = np.zeros((n + 1, flat.shape[0]))
     p1 = np.zeros_like(p0)
     np.cumsum(h.T, axis=0, out=p0[1:])
-    np.cumsum((h * v).T, axis=0, out=p1[1:])
+    np.cumsum(np.multiply(h, v, out=h).T, axis=0, out=p1[1:])
+    del h, v
 
     # cost(i, j) = S2 - S1^2/S0 over sorted [i, j). The S2 prefix terms
     # telescope out of every minimum, so level m carries only
@@ -208,7 +210,9 @@ def optimal_partition(w, hw, k: int = 4):
     e = np.full((k - 1,) + p0.shape, np.inf)
     e[0, 1:] = -p1[1:] ** 2 / p0[1:]
     for j in range(2, n) if k > 2 else ():
-        slab = (p1[j] - p1[:j]) ** 2 / (p0[j] - p0[:j])
+        slab = p1[j] - p1[:j]
+        slab **= 2
+        slab /= p0[j] - p0[:j]
         for m in range(1, min(k - 1, j)):
             e[m, j] = (e[m - 1, m:j] - slab[m:]).min(axis=0)
 
@@ -220,9 +224,12 @@ def optimal_partition(w, hw, k: int = 4):
     for m in range(k - 1, 0, -1):
         # start of the last of m + 1 clusters ending at `right`, per row
         with np.errstate(divide="ignore", invalid="ignore"):
-            slab = (p1[right, rows] - p1) ** 2 / (p0[right, rows] - p0)
-            cand = np.where((idx >= m) & (idx < right), e[m - 1] - slab, np.inf)
-        right = np.argmin(cand, axis=0)
+            slab = p1[right, rows] - p1
+            slab **= 2
+            slab /= p0[right, rows] - p0
+            np.subtract(e[m - 1], slab, out=slab)
+        slab[(idx < m) | (idx >= right)] = np.inf
+        right = np.argmin(slab, axis=0)
         cluster += pos >= right[:, None]
     labels = np.empty_like(cluster)
     np.put_along_axis(labels, order, cluster, axis=-1)
@@ -343,7 +350,8 @@ def output_error(delta, hessian) -> float:
     """Quadratic-form error trace(delta H delta^T): the activation-space
     reconstruction error the compensation step targets."""
     delta = np.asarray(delta, dtype=np.float64)
-    return float(((delta @ np.asarray(hessian, dtype=np.float64)) * delta).sum())
+    prod = delta @ np.asarray(hessian, dtype=np.float64)
+    return float(np.multiply(prod, delta, out=prod).sum())
 
 
 def _bits_per_weight(rows, cols, group_size, outliers) -> float:
@@ -386,14 +394,14 @@ def quantize_linear(w, stats: CalibrationStats, cfg: QuantConfig):
     n_groups = n_bin // cfg.group_size
     wpg = words_for(cfg.group_size)
 
-    w_perm = w[:, perm]
-    work = w_perm.copy()
+    # one C-ordered buffer (the order fixes the report's float sums): weights
+    # ahead of the current block, compensated; their error behind it
+    work = w.take(perm, axis=1)
     udiag = np.diag(chol)
 
     signs = np.zeros((rows, n_groups, wpg), dtype=np.uint64)
     mask = np.zeros((rows, n_groups, wpg), dtype=np.uint64)
     affine = np.zeros((rows, n_groups, 2, 2), dtype=np.float32)
-    deq_bin = np.zeros((rows, n_bin), dtype=np.float64)
     group_loss = np.zeros((rows, n_groups), dtype=np.float64)
 
     for g in range(n_groups):
@@ -416,7 +424,6 @@ def quantize_linear(w, stats: CalibrationStats, cfg: QuantConfig):
             res.s_bits.astype(np.int64),
             res.q_bits.astype(np.int64),
         ]
-        deq_bin[:, i0:i1] = deq
         signs[:, g] = pack_bits(res.q_bits).reshape(rows, wpg)
         mask[:, g] = pack_bits(res.s_bits).reshape(rows, wpg)
         group_loss[:, g] = (hw * (blk - deq) ** 2).sum(axis=-1)
@@ -424,8 +431,11 @@ def quantize_linear(w, stats: CalibrationStats, cfg: QuantConfig):
         if cfg.compensate and i1 < n_bin:
             err = (blk - deq) / d
             work[:, i1:n_bin] = gptq_compensate(work[:, i1:n_bin], err, chol[i0:i1, i1:n_bin])
+        np.subtract(w[:, perm[i0:i1]], deq, out=blk)
 
-    out_codes, out_scale, out_zero = quant_outliers_int8(w_perm[:, n_bin:], cfg.clip_ratio)
+    # compensation never reaches the outlier columns
+    out_codes, out_scale, out_zero = quant_outliers_int8(work[:, n_bin:], cfg.clip_ratio)
+    work[:, n_bin:] -= dequant_outliers(out_codes, out_scale, out_zero)
 
     layer = QuantizedLinear(
         rows=rows,
@@ -445,11 +455,6 @@ def quantize_linear(w, stats: CalibrationStats, cfg: QuantConfig):
 
     h_perm = np.asarray(stats.hessian, dtype=np.float64)[np.ix_(perm, perm)]
     inv_diag = inverse_diag_from_factor(chol)
-    delta_bin = w_perm[:, :n_bin] - deq_bin
-    delta_full = np.concatenate(
-        [delta_bin, w_perm[:, n_bin:] - dequant_outliers(out_codes, out_scale, out_zero)],
-        axis=1,
-    )
     report = QuantReport(
         rows=rows,
         cols=cols,
@@ -457,8 +462,8 @@ def quantize_linear(w, stats: CalibrationStats, cfg: QuantConfig):
         outliers=cfg.outliers,
         em_loss=float(group_loss.sum()),
         group_loss=group_loss.sum(axis=0).tolist(),
-        weighted_error=diag_weighted_error(delta_bin, inv_diag[:n_bin]),
-        output_error=output_error(delta_full, h_perm),
+        weighted_error=diag_weighted_error(work[:, :n_bin], inv_diag[:n_bin]),
+        output_error=output_error(work, h_perm),
         bits_per_weight=_bits_per_weight(rows, cols, cfg.group_size, cfg.outliers),
     )
     return layer, report

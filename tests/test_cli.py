@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -17,6 +19,7 @@ from bwaq import (
     write_model,
     write_tensor,
 )
+from bwaq import calibration, tensorio, weightquant
 from bwaq.actquant import PLANE_CORR_TOKENS
 from bwaq.cli import main
 
@@ -116,6 +119,155 @@ def test_quantize_walks_the_documented_block_pipeline(tmp_path, rng):
         acts = [np.maximum(a @ w.T, 0.0) for a in acts]
     write_model(expected, tmp_path / "expected.bwaq")
     assert (tmp_path / "model.bwaq").read_bytes() == (tmp_path / "expected.bwaq").read_bytes()
+
+
+def _serial_quantize(weights, calib, cfg, nl):
+    """Model and sidecar bytes of the serial walk: calibrate, quantize_linear,
+    plane_corrections, propagate, one layer after the other."""
+    x = read_tensor(calib)
+    acts = [x[i : i + PLANE_CORR_TOKENS] for i in range(0, len(x), PLANE_CORR_TOKENS)]
+    layers, reports = [], []
+    for path in weights:
+        w = read_tensor(path)
+        layer, report = quantize_linear(w, calibrate(acts, cfg), cfg)
+        layer.plane_corr = plane_corrections(acts, layer)
+        layers.append(layer)
+        reports.append(report.to_dict())
+        acts = [nl(a @ w.T) for a in acts]
+    out = io.StringIO()
+    json.dump(reports, out, indent=2, sort_keys=True)
+    return layers, out.getvalue().encode()
+
+
+@pytest.mark.parametrize("widths", [(64, 64, 64, 64), (64, 48, 80, 32)], ids=["square", "reshaping"])
+@pytest.mark.parametrize("nl", ["none", "relu"])
+def test_quantize_matches_the_serial_walk_byte_for_byte(tmp_path, rng, widths, nl):
+    weights = [tmp_path / f"w{i}.bwat" for i in range(len(widths) - 1)]
+    for path, c_in, c_out in zip(weights, widths, widths[1:]):
+        write_tensor(path, rng.normal(size=(c_out, c_in)) / np.sqrt(c_in))
+    write_tensor(tmp_path / "calib.bwat", rng.normal(size=(600, widths[0])))
+    model = tmp_path / "model.bwaq"
+    argv = [
+        "quantize", "--weights", *map(str, weights), "--calib", str(tmp_path / "calib.bwat"),
+        "--group-size", "16", "--outliers", "16", "--nl", nl, "--out", str(model),
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    cfg = QuantConfig(group_size=16, outliers=16)
+    act = (lambda y: y) if nl == "none" else (lambda y: np.maximum(y, 0.0))
+    layers, sidecar = _serial_quantize(weights, tmp_path / "calib.bwat", cfg, act)
+    write_model(layers, tmp_path / "expected.bwaq")
+    assert model.read_bytes() == (tmp_path / "expected.bwaq").read_bytes()
+    assert (tmp_path / "model.bwaq.report.json").read_bytes() == sidecar
+
+
+def test_quantize_overlaps_at_most_one_layer(tmp_path, rng, monkeypatch):
+    # layer i's quantize_linear holds until layer i + 1 is calibrated, which
+    # a serial walk never reaches, and then lingers: the main thread must
+    # still wait for it before it calibrates layer i + 2
+    argv = _square_relu_stack(tmp_path, rng, 300, width=64, layers=4)
+    real_calibrate, real_quantize = calibration.calibrate, weightquant.quantize_linear
+    calibrated = [threading.Event() for _ in range(4)]
+    lock = threading.Lock()
+    running, most, done, overlapped, done_at_calibrate = [0], [0], [], [], []
+
+    def counting_calibrate(*args, **kwargs):
+        done_at_calibrate.append(len(done))
+        stats = real_calibrate(*args, **kwargs)
+        calibrated[len(done_at_calibrate) - 1].set()
+        return stats
+
+    def counting_quantize(*args, **kwargs):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+            layer = len(done) + running[0] - 1
+        if layer < 3:
+            overlapped.append(calibrated[layer + 1].wait(timeout=30))
+            time.sleep(0.05)
+        try:
+            return real_quantize(*args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+                done.append(layer)
+
+    monkeypatch.setattr(calibration, "calibrate", counting_calibrate)
+    monkeypatch.setattr(weightquant, "quantize_linear", counting_quantize)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--group-size", "16", "--outliers", "16"]) == 0
+    assert most[0] == 1 and done == [0, 1, 2, 3]
+    assert overlapped == [True, True, True]
+    assert done_at_calibrate == [0, 0, 1, 2]
+
+
+def test_quantize_worker_error_exits_like_a_serial_walk(tmp_path, rng, capsys):
+    # layer 1 of 3 has a NaN weight: its quantization fails on the worker,
+    # while the main thread has already propagated NaN into layer 2's inputs
+    argv = _square_relu_stack(tmp_path, rng, 300, width=64, layers=3)
+    w = read_tensor(tmp_path / "w1.bwat")
+    w[5, 7] = np.nan
+    write_tensor(tmp_path / "w1.bwat", w)
+    threads = threading.active_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--group-size", "16", "--outliers", "16"]) == 3
+    assert not caught, [str(w.message) for w in caught]
+    assert capsys.readouterr().err == "error: non-finite weights\n"
+    assert not (tmp_path / "model.bwaq").exists()
+    assert not (tmp_path / "model.bwaq.report.json").exists()
+    assert threading.active_count() == threads
+
+
+def test_quantize_main_thread_error_while_worker_busy(tmp_path, rng, capsys, monkeypatch):
+    # layer 2's weight file is rank 3; layer 1's quantization is held on the
+    # worker until the main thread has read that file
+    argv = _square_relu_stack(tmp_path, rng, 300, width=64, layers=3)
+    write_tensor(tmp_path / "w2.bwat", rng.normal(size=(2, 64, 64)))
+    real_read, real_quantize = tensorio.read_tensor, weightquant.quantize_linear
+    bad_read = threading.Event()
+    finished = []
+
+    def read(path, *args, **kwargs):
+        if str(path).endswith("w2.bwat"):
+            bad_read.set()
+        return real_read(path, *args, **kwargs)
+
+    def held_quantize(*args, **kwargs):
+        if len(finished) == 1:
+            assert bad_read.wait(timeout=30)
+        result = real_quantize(*args, **kwargs)
+        finished.append(True)
+        return result
+
+    monkeypatch.setattr(tensorio, "read_tensor", read)
+    monkeypatch.setattr(weightquant, "quantize_linear", held_quantize)
+    threads = threading.active_count()
+    assert main([*argv, "--group-size", "16", "--outliers", "16"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "w2.bwat: weight tensor must be rank 2, got 3" in err
+    assert len(finished) == 2  # the worker's layer ran to its end first
+    assert not (tmp_path / "model.bwaq").exists()
+    assert not (tmp_path / "model.bwaq.report.json").exists()
+    assert threading.active_count() == threads
+
+
+def test_quantize_tiny_clip_exits_3_with_one_line(tmp_path, rng, capsys):
+    write_tensor(tmp_path / "w.bwat", rng.normal(size=(16, 48)))
+    write_tensor(tmp_path / "calib.bwat", rng.normal(size=(96, 48)))
+    argv = [
+        "quantize", "--weights", str(tmp_path / "w.bwat"), "--calib",
+        str(tmp_path / "calib.bwat"), "--group-size", "16", "--outliers", "16",
+        "--clip", "1e-310", "--out", str(tmp_path / "model.bwaq"),
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: clip 1e-310 ")
+    assert not (tmp_path / "model.bwaq").exists()
 
 
 def test_quantize_peak_memory_grows_by_at_most_two_activation_copies(tmp_path):
