@@ -41,7 +41,7 @@ def main() -> None:
     run(
         [py, "-m", "bwaq.cli", "quantize", "--weights", *weights,
          "--calib", str(work / "calib.bwat"), "--group-size", "128",
-         "--outliers", "128", "--em-iters", "8", "--damp", "0.01",
+         "--outliers", "128", "--damp", "0.01",
          "--nl", "relu", "--out", model]
     )
     run([py, "-m", "bwaq.cli", "inspect", "--model", model])

@@ -4,13 +4,16 @@ Exit codes: 0 success, 2 usage/config error or an unreadable path, 3 data
 error, 4 internal invariant failure. All output goes to stdout; pass --json
 for a machine-readable report.
 
-quantize holds its calibration set once, as blocks of
-actquant.PLANE_CORR_TOKENS tokens: row views of the arrays read from the
-calibration files. Every per-layer stage (Hessian, plane corrections,
-propagation to the next layer's inputs) consumes those blocks. A layer that
-keeps the width writes its outputs over them, so a stack of such layers
-never holds a second copy of the set; one that changes the width replaces
-them block by block.
+quantize and eval walk the stack over blocks of actquant.PLANE_CORR_TOKENS
+tokens: row views of the arrays read from the tensor files. A layer that
+keeps the width writes its outputs over the blocks (_store), so a stack of
+such layers never holds a second copy; one that changes the width replaces
+them block by block. quantize holds its calibration set once; every
+per-layer stage (Hessian, plane corrections, propagation) consumes its
+blocks. eval holds its inputs twice, the float chain (views of the inputs)
+and the quantized chain (one copy): per layer it calibrates the float
+blocks for the weight error, then runs each block through the reference
+and the quantized layer. Its timings are per-stage sums over blocks.
 
 The float chain never reads quantized weights, so while one worker thread
 runs quantize_linear on layer i, the main thread propagates layer i's
@@ -27,7 +30,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -52,6 +55,16 @@ def _token_blocks(x) -> list:
     """Row views of x, PLANE_CORR_TOKENS tokens each."""
     step = actquant.PLANE_CORR_TOKENS
     return [x[i : i + step] for i in range(0, len(x), step)]
+
+
+def _store(blocks, k, out) -> None:
+    """Put a layer's output in place of block k: written over the block when
+    the layer keeps the width, so a stack of such layers never holds a second
+    copy; swapped in for the block when it changes the width."""
+    if out.shape == blocks[k].shape:
+        blocks[k][...] = out
+    else:
+        blocks[k] = out
 
 
 def _nonlinearity(name: str):
@@ -94,14 +107,8 @@ def cmd_quantize(args) -> int:
                     futures[-1].result()  # at most one layer in flight
                 futures.append(worker.submit(weightquant.quantize_linear, w, stats, cfg))
                 if i + 1 < len(args.weights):
-                    # a layer that keeps the width writes its output over the
-                    # block; one that changes it swaps the block for a new one
                     for k, blk in enumerate(acts):
-                        out = nl(blk @ w.T)
-                        if out.shape == blk.shape:
-                            blk[...] = out
-                        else:
-                            acts[k] = out
+                        _store(acts, k, nl(blk @ w.T))
         except Exception:
             # a serial walk would have met the earlier layer's error first
             if futures and futures[-1].exception() is not None:
@@ -138,44 +145,17 @@ def cmd_quantize(args) -> int:
     return 0
 
 
-@dataclass
-class EvalReport:
-    """What `bwaq eval` reports.
+def cmd_eval(args) -> int:
+    """The quantized stack against the float reference, in one walk.
 
     per_layer_mse[i] is the relative MSE of quantized layer i's output
-    against the float stack's layer-i output. Layer i runs on the quantized
-    stack's input, so the value is the error accumulated up to that depth,
-    not layer i's own error; end_to_end_mse is the last layer's.
-    weighted_weight_error[i] is layer i's Hessian-weighted weight error.
+    against the float stack's layer-i output (the plain MSE if that is all
+    zero). Layer i runs on the quantized stack's input, so the value is the
+    error accumulated up to that depth, not layer i's own error;
+    end_to_end_mse is the last layer's. weighted_weight_error[i] (and, with
+    --compare-rtn2, rtn2_weighted_weight_error[i]) is layer i's
+    Hessian-weighted weight error. timings holds each stage's seconds.
     """
-
-    per_layer_mse: list
-    end_to_end_mse: float
-    weighted_weight_error: list
-    bits_per_weight: float
-    timings: dict = field(default_factory=dict)
-    rtn2_weighted_weight_error: list | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "per_layer_mse": self.per_layer_mse,
-            "end_to_end_mse": self.end_to_end_mse,
-            "weighted_weight_error": self.weighted_weight_error,
-            "bits_per_weight": self.bits_per_weight,
-            "timings": self.timings,
-        }
-        if self.rtn2_weighted_weight_error is not None:
-            out["rtn2_weighted_weight_error"] = self.rtn2_weighted_weight_error
-        return out
-
-
-def _rel_mse(approx, exact) -> float:
-    num = float(((approx - exact) ** 2).mean())
-    den = float((exact**2).mean())
-    return num / den if den > 0 else num
-
-
-def cmd_eval(args) -> int:
     layers = modelio.read_model(args.model)
     refs = [tensorio.read_tensor(p) for p in args.reference]
     if len(refs) != len(layers):
@@ -197,36 +177,13 @@ def cmd_eval(args) -> int:
             f"inputs have {x.shape[1]} channels, model expects {layers[0].cols}"
         )
 
-    timings = {}
-    t0 = time.perf_counter()
-    cur_f = x
-    float_outs = []
-    for i, ref in enumerate(refs):
-        out = cur_f @ ref.T
-        float_outs.append(out)
-        cur_f = nl(out.copy()) if i + 1 < len(refs) else out
-    timings["float_stack"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    cur_q = x
-    per_layer_mse = []
-    for i, layer in enumerate(layers):
-        act = actquant.quantize_activations(
-            cur_q, layer.group_size, layer.outliers, perm=layer.perm,
-            plane_corr=layer.plane_corr,
-        )
-        out = bitkernel.forward(layer, act)
-        per_layer_mse.append(_rel_mse(out, float_outs[i]))
-        cur_q = nl(out) if i + 1 < len(layers) else out
-    timings["quant_stack"] = time.perf_counter() - t0
-    end_to_end = _rel_mse(cur_q, float_outs[-1])
-
-    t0 = time.perf_counter()
-    werr = []
+    timings = dict.fromkeys(["float_stack", "quant_stack", "weight_error"], 0.0)
+    fblocks, qblocks = _token_blocks(x), _token_blocks(x.copy())
+    per_layer_mse, werr = [], []
     rtn2_err = [] if args.compare_rtn2 else None
-    cur_f = x
     for i, (layer, ref) in enumerate(zip(layers, refs)):
-        stats = calibration.calibrate([cur_f], cfg)
+        t0 = time.perf_counter()
+        stats = calibration.calibrate(fblocks, cfg)
         inv_diag = weightquant.inverse_diag_from_factor(stats.chol_inv)
         deq = weightquant.dequant_weights(layer)[:, stats.perm]
         ref_p = np.asarray(ref, dtype=np.float64)[:, stats.perm]
@@ -241,30 +198,52 @@ def cmd_eval(args) -> int:
             rtn_layer, _ = weightquant.quantize_linear(ref, stats, cfg_rtn)
             rtn_deq = weightquant.dequant_weights(rtn_layer)[:, stats.perm]
             rtn2_err.append(weightquant.diag_weighted_error(ref_p - rtn_deq, inv_diag))
-        out = cur_f @ ref.T
-        cur_f = nl(out) if i + 1 < len(refs) else out
-    timings["weight_error"] = time.perf_counter() - t0
+        timings["weight_error"] += time.perf_counter() - t0
 
-    report = EvalReport(
-        per_layer_mse=per_layer_mse,
-        end_to_end_mse=end_to_end,
-        weighted_weight_error=werr,
-        bits_per_weight=modelio.model_nbytes(layers)
+        sq_err = sq_ref = 0.0
+        last = i + 1 == len(layers)
+        for k in range(len(fblocks)):
+            t0 = time.perf_counter()
+            f = fblocks[k] @ ref.T
+            t1 = time.perf_counter()
+            act = actquant.quantize_activations(
+                qblocks[k], layer.group_size, layer.outliers, perm=layer.perm,
+                plane_corr=layer.plane_corr,
+            )
+            q = bitkernel.forward(layer, act)
+            sq_err += float(np.square(q - f).sum())
+            sq_ref += float(np.square(f).sum())
+            if not last:
+                _store(qblocks, k, nl(q))
+            t2 = time.perf_counter()
+            if not last:
+                _store(fblocks, k, nl(f))
+            timings["float_stack"] += t1 - t0 + time.perf_counter() - t2
+            timings["quant_stack"] += t2 - t1
+        n = len(x) * layer.rows
+        per_layer_mse.append(sq_err / sq_ref if sq_ref > 0 else sq_err / n)
+
+    report = {
+        "per_layer_mse": per_layer_mse,
+        "end_to_end_mse": per_layer_mse[-1],
+        "weighted_weight_error": werr,
+        "bits_per_weight": modelio.model_nbytes(layers)
         * 8.0
         / sum(l.rows * l.cols for l in layers),
-        timings=timings,
-        rtn2_weighted_weight_error=rtn2_err,
-    )
+        "timings": timings,
+    }
+    if rtn2_err is not None:
+        report["rtn2_weighted_weight_error"] = rtn2_err
     if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
     else:
-        for i, mse in enumerate(report.per_layer_mse):
+        for i, mse in enumerate(per_layer_mse):
             line = f"layer {i}: rel output MSE {mse:.6g}, weighted weight error {werr[i]:.6g}"
             if rtn2_err is not None:
                 line += f" (2-bit RTN: {rtn2_err[i]:.6g})"
             print(line)
-        print(f"end-to-end rel MSE: {report.end_to_end_mse:.6g}")
-        print(f"bits/weight: {report.bits_per_weight:.3f}")
+        print(f"end-to-end rel MSE: {report['end_to_end_mse']:.6g}")
+        print(f"bits/weight: {report['bits_per_weight']:.3f}")
     return 0
 
 

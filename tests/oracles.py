@@ -2,16 +2,19 @@
 
 These deliberately share no code with the package under test: plain loops,
 an interval dynamic program, numpy's own bit packing and scipy's Cholesky
-routines only. The one import
-from bwaq is its DataError, which the scalar bit blocks and the retired
-activation decomposition raise as they did when they lived in the package.
+routines only. The imports from bwaq are its DataError, which the scalar bit
+blocks and the retired activation decomposition raise as they did when they
+lived in the package, and the library calls that eval_three_pass composes:
+it is a reference for how `bwaq eval` walks the stack, not for the calls.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
+from bwaq import actquant, bitkernel, calibration, modelio, weightquant
+from bwaq.config import QuantConfig
 from bwaq.errors import DataError
 
 
@@ -423,3 +426,59 @@ def outlier_tail_reference(a_codes, a_scale, a_zero, w_codes, w_scale, w_zero):
     tail *= np.asarray(w_scale, dtype=np.float64)
     tail *= np.asarray(a_scale, dtype=np.float64)[:, None]
     return tail
+
+
+def eval_three_pass(layers, refs, x, relu: bool, damp: float, compare_rtn2: bool) -> dict:
+    """`bwaq eval`'s report without timings, from three whole-stack passes:
+    the float stack (every layer's output kept), the quantized stack, and
+    the float stack again, calibrating each layer on all its inputs at once
+    for the weight error."""
+    nl = (lambda y: np.maximum(y, 0.0)) if relu else (lambda y: y)
+
+    def rel_mse(approx, exact):
+        num = float(((approx - exact) ** 2).mean())
+        den = float((exact**2).mean())
+        return num / den if den > 0 else num
+
+    float_outs, cur = [], x
+    for ref in refs:
+        float_outs.append(cur @ ref.T)
+        cur = nl(float_outs[-1])
+
+    per_layer_mse, cur = [], x
+    for layer, exact in zip(layers, float_outs):
+        act = actquant.quantize_activations(
+            cur, layer.group_size, layer.outliers, perm=layer.perm,
+            plane_corr=layer.plane_corr,
+        )
+        out = bitkernel.forward(layer, act)
+        per_layer_mse.append(rel_mse(out, exact))
+        cur = nl(out)
+    end_to_end = rel_mse(out, float_outs[-1])
+
+    cfg = QuantConfig(damp=damp)
+    werr, rtn2_err, cur = [], [], x
+    for layer, ref in zip(layers, refs):
+        stats = calibration.calibrate([cur], cfg)
+        inv_diag = weightquant.inverse_diag_from_factor(stats.chol_inv)
+        ref_p = np.asarray(ref, dtype=np.float64)[:, stats.perm]
+        deq = weightquant.dequant_weights(layer)[:, stats.perm]
+        werr.append(weightquant.diag_weighted_error(ref_p - deq, inv_diag))
+        if compare_rtn2:
+            rtn_cfg = replace(cfg, weight_mode="rtn", group_size=layer.group_size,
+                              outliers=layer.outliers)
+            rtn_layer, _ = weightquant.quantize_linear(ref, stats, rtn_cfg)
+            rtn_deq = weightquant.dequant_weights(rtn_layer)[:, stats.perm]
+            rtn2_err.append(weightquant.diag_weighted_error(ref_p - rtn_deq, inv_diag))
+        cur = nl(cur @ ref.T)
+
+    report = {
+        "per_layer_mse": per_layer_mse,
+        "end_to_end_mse": end_to_end,
+        "weighted_weight_error": werr,
+        "bits_per_weight": modelio.model_nbytes(layers) * 8.0
+        / sum(layer.rows * layer.cols for layer in layers),
+    }
+    if compare_rtn2:
+        report["rtn2_weighted_weight_error"] = rtn2_err
+    return report

@@ -22,6 +22,7 @@ from bwaq import (
 from bwaq import calibration, tensorio, weightquant
 from bwaq.actquant import PLANE_CORR_TOKENS
 from bwaq.cli import main
+from oracles import eval_three_pass
 
 
 @pytest.fixture
@@ -285,6 +286,30 @@ def test_quantize_peak_memory_grows_by_at_most_two_activation_copies(tmp_path):
     assert peaks[8192] - peaks[1024] <= 2.0 * copy, (peaks[8192] - peaks[1024]) / copy
 
 
+def test_eval_peak_memory_grows_by_at_most_two_activation_copies(tmp_path):
+    rng = np.random.default_rng(0)
+    quantize = _square_relu_stack(tmp_path, rng, 1024, layers=3)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(quantize) == 0
+    peaks = {}
+    for tokens in (1024, 8192):
+        write_tensor(tmp_path / "inputs.bwat", rng.normal(size=(tokens, 256)))
+        argv = [
+            "eval", "--model", str(tmp_path / "model.bwaq"), "--inputs",
+            str(tmp_path / "inputs.bwat"), "--reference",
+            *(str(tmp_path / f"w{i}.bwat") for i in range(3)), "--nl", "relu",
+        ]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            peaks[tokens] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    copy = (8192 - 1024) * 256 * 8  # one float64 copy of the added tokens
+    assert peaks[8192] - peaks[1024] <= 2.25 * copy, (peaks[8192] - peaks[1024]) / copy
+
+
 def test_quantize_missing_file(toy_stack, capsys):
     args = _quantize_args(toy_stack)
     args[args.index(str(toy_stack["w0"]))] = str(toy_stack["w0"]) + ".nope"
@@ -483,6 +508,61 @@ def test_eval_compare_rtn2_direction(toy_stack, capsys):
         report["weighted_weight_error"], report["rtn2_weighted_weight_error"]
     ):
         assert ours < rtn
+
+
+@pytest.mark.parametrize("widths", [(64, 64, 64, 64), (64, 48, 80, 32)], ids=["square", "reshaping"])
+@pytest.mark.parametrize("nl", ["none", "relu"])
+@pytest.mark.parametrize("rtn2", [False, True], ids=["plain", "rtn2"])
+def test_eval_matches_the_three_pass_walk(tmp_path, rng, widths, nl, rtn2):
+    weights = [tmp_path / f"w{i}.bwat" for i in range(len(widths) - 1)]
+    for path, c_in, c_out in zip(weights, widths, widths[1:]):
+        write_tensor(path, rng.normal(size=(c_out, c_in)) / np.sqrt(c_in))
+    write_tensor(tmp_path / "calib.bwat", rng.normal(size=(300, widths[0])))
+    x = rng.normal(size=(600, widths[0]))
+    write_tensor(tmp_path / "inputs.bwat", x)
+    model = tmp_path / "model.bwaq"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([
+            "quantize", "--weights", *map(str, weights), "--calib",
+            str(tmp_path / "calib.bwat"), "--group-size", "16", "--outliers", "16",
+            "--nl", nl, "--out", str(model),
+        ]) == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([
+            "eval", "--model", str(model), "--inputs", str(tmp_path / "inputs.bwat"),
+            "--reference", *map(str, weights), "--nl", nl, "--json",
+            *(["--compare-rtn2"] if rtn2 else []),
+        ]) == 0
+    report = json.loads(out.getvalue())
+    refs = [read_tensor(p) for p in weights]
+    expected = eval_three_pass(read_model(model), refs, x, nl == "relu", 0.01, rtn2)
+    assert set(report) == set(expected) | {"timings"}
+    assert set(report["timings"]) == {"float_stack", "quant_stack", "weight_error"}
+    for key, value in expected.items():
+        np.testing.assert_allclose(report[key], value, rtol=1e-12, atol=0, err_msg=key)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(1e160, "error: hessian contains non-finite values\n"),
+     (np.nan, "error: sample 1 (tokens 256-511) contains non-finite values\n")],
+    ids=["huge", "nan"],
+)
+def test_eval_non_finite_activations_exit_3_with_one_line(toy_stack, rng, capsys, value, message):
+    assert main(_quantize_args(toy_stack)) == 0
+    x = rng.normal(size=(600, 64))
+    x[300, 5] = value
+    write_tensor(toy_stack["inputs"], x)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([
+            "eval", "--model", str(toy_stack["model"]), "--inputs", str(toy_stack["inputs"]),
+            "--reference", str(toy_stack["w0"]), str(toy_stack["w1"]),
+        ]) == 3
+    assert not caught, [str(w.message) for w in caught]
+    assert capsys.readouterr().err == message
 
 
 def test_eval_shape_mismatch_exit_2(toy_stack, capsys):
