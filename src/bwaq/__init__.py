@@ -26,10 +26,8 @@ from .weightquant import (
     QuantizedLinear,
     QuantReport,
     dequant_weights,
-    e_step,
     em_binarize,
     gptq_compensate,
-    m_step,
     quant_outliers_int8,
     quantize_linear,
     recover_affine,
@@ -54,14 +52,12 @@ __all__ = [
     "counts",
     "damped_inverse_cholesky",
     "dequant_weights",
-    "e_step",
     "em_binarize",
     "forward",
     "forward_reference",
     "gptq_compensate",
     "inspect_model",
     "layer_nbytes",
-    "m_step",
     "model_nbytes",
     "plane_corrections",
     "quant_outliers_int8",

@@ -35,12 +35,18 @@ def rtn_quantize(x, bits: int, clip: float = 1.0):
         raise DataError("non-finite activation values")
     if bits not in (2, 4, 8):
         raise DataError(f"unsupported bit width {bits}")
+    codes, mu, z = _rtn_checked(x, bits, clip)
+    return codes.astype(np.int64), mu, z
+
+
+def _rtn_checked(x, bits: int, clip: float):
+    """_rtn on finite input, with an overflow as a DataError: a clip so small
+    that z or x/mu is not finite, or a range beyond the float64 maximum."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            codes, mu, z = _rtn(x, float(2**bits - 1), clip)
+            return _rtn(x, float(2**bits - 1), clip)
     except FloatingPointError as exc:
         raise DataError(f"clip {clip} leaves no finite {bits}-bit scale: {exc}") from None
-    return codes.astype(np.int64), mu, z
 
 
 def _rtn(x, qmax: float, clip: float):
@@ -178,22 +184,27 @@ def reconstruct_outliers(bp: ActBitplanes) -> np.ndarray:
     return bp.out_scale[:, None] * (codes - bp.out_zero[:, None])
 
 
-def _scale_deltas(err, codes, mu, plane_scales) -> np.ndarray:
+def _scale_deltas(err, core, codes, plane_scales) -> np.ndarray:
     """Balancing moves of the plane scales, shape (tokens, groups, 4).
 
-    err is the residual x - mu * (code - z) and codes the INT4 codes, both
-    (tokens, groups, B). Each element's ratio E / (mu * code) is summed per
-    plane over the elements whose code has bit a set, straight from the
-    codes; the move is plane_scale * sum / count, and 0 for an empty plane.
+    err is the residual x - mu * (code - z), core = mu * code and codes the
+    uint8 INT4 codes, all (tokens, groups, B). Each element's ratio
+    E / core is summed per plane over the elements whose code has bit a
+    set, straight from the codes; the move is plane_scale * sum / count,
+    and 0 for an empty plane. err is overwritten with the ratios (0 where
+    the code is 0).
     """
-    core = mu[..., None] * codes.astype(np.float64)
-    ratio = np.divide(err, core, out=np.zeros_like(err), where=codes > 0)
-    codes = codes.astype(np.uint8)
+    nonzero = codes > 0
+    np.divide(err, core, out=err, where=nonzero)
+    np.copyto(err, 0.0, where=~nonzero)
     member_sum = np.empty(plane_scales.shape)
     member_cnt = np.empty(plane_scales.shape)
+    plane = np.empty_like(codes)
+    bit = np.empty_like(err)
     for a in range(4):
-        bit = ((codes >> a) & 1).astype(np.float64)
-        member_sum[..., a] = np.einsum("tgb,tgb->tg", bit, ratio)
+        np.bitwise_and(np.right_shift(codes, a, out=plane), 1, out=plane)
+        np.copyto(bit, plane)
+        member_sum[..., a] = np.einsum("tgb,tgb->tg", bit, err)
         member_cnt[..., a] = bit.sum(axis=-1)
     return np.where(
         member_cnt > 0, plane_scales * member_sum / np.maximum(member_cnt, 1.0), 0.0
@@ -217,15 +228,15 @@ def balance_scales(x_fp, bp: ActBitplanes) -> ActBitplanes:
         raise DataError(f"shape mismatch: {x_fp.shape} vs reconstruction {recon.shape}")
     codes = bp.codes()
     err = (x_fp - recon).reshape(codes.shape)
-    delta = _scale_deltas(err, codes, bp.mu, bp.plane_scales)
+    delta = _scale_deltas(err, bp.mu[..., None] * codes, codes, bp.plane_scales)
     skipped = int(np.sum(~codes.any(axis=-1)))
     if skipped:
         log.debug("balance_scales: %d all-zero groups skipped", skipped)
     return replace(bp, plane_scales=bp.plane_scales + delta)
 
 
-# Calibration tokens per block of `bwaq quantize`'s calibration set (and 4x
-# plane_corrections'): bounds the temporaries of every per-layer stage, so
+# Calibration tokens per block of `bwaq quantize`'s calibration set and of
+# plane_corrections: bounds the temporaries of every per-layer stage, so
 # peak memory does not grow with the calibration set beyond the set itself.
 PLANE_CORR_TOKENS = 256
 # Plane corrections are multiples of 1/CORR_GRID. Such values are exact in
@@ -246,15 +257,19 @@ def plane_corrections(x, layer, perm=None) -> np.ndarray:
 
     x is one token-major matrix or a sequence of them (token blocks of one
     calibration set), each cut again into blocks of at most
-    PLANE_CORR_TOKENS // 4 tokens, small beside the weight clustering that
-    `bwaq quantize` runs meanwhile. Each block's binarized channels are
+    PLANE_CORR_TOKENS tokens, which bounds the temporaries. `bwaq quantize`
+    runs this on its main thread beside a worker thread's clustering, and
+    every numpy call has to take the GIL back from that thread: whole
+    calibration blocks keep the calls few. Each block's binarized channels are
     RTN-quantized once, and the balancing of balance_scales runs on the INT4
     codes directly: with unit scales the reconstruction is exactly
     mu * (code - z), so no bit planes are packed or unpacked. The per-token
-    ratios land in one (tokens, groups, 4) array whose mean is taken once, so
-    the result does not depend on how the tokens are split into blocks. The
-    float64 mean is rounded to the nearest multiple of 1/CORR_GRID. The
-    outlier channels only have to be finite.
+    ratios are added up one token after the other, as numpy's mean over the
+    token axis of all of them adds them: a running sum carried from block to
+    block, so neither the result nor the memory depends on how the tokens
+    are split into blocks, or on how many there are. The float64 mean is
+    rounded to the nearest multiple of 1/CORR_GRID. The outlier channels
+    only have to be finite.
     """
     blocks = [x] if isinstance(x, np.ndarray) else list(x)
     perm = np.asarray(layer.perm if perm is None else perm, dtype=np.int64)
@@ -273,23 +288,36 @@ def plane_corrections(x, layer, perm=None) -> np.ndarray:
         )
     n_groups = n_bin // b
     binarized = perm[:n_bin]
-    ratio = np.empty((sum(len(blk) for blk in blocks), n_groups, 4))
-    step = PLANE_CORR_TOKENS // 4
-    row = 0
+    total = np.zeros((n_groups, 4))
+    tokens = 0
+    step = PLANE_CORR_TOKENS
     skipped = 0
     for blk in blocks:
         for start in range(0, len(blk), step):
             xb = np.asarray(blk[start : start + step], dtype=np.float64)
             if not np.isfinite(xb).all():
                 raise DataError("non-finite activation values")
-            grouped = xb[:, binarized].reshape(-1, n_groups, b)
-            codes, mu, z = rtn_quantize(grouped, 4)
-            recon = mu[..., None] * (codes - z[..., None])
+            grouped = xb.take(binarized, axis=1).reshape(-1, n_groups, b)
+            codes, mu, z = _rtn_checked(grouped, 4, 1.0)
+            c8 = codes.astype(np.uint8)
+            # the residual x - mu * (code - z) over the gathered copy, and the
+            # core mu * code over the codes
+            recon = np.subtract(codes, z[..., None])
+            recon *= mu[..., None]
+            err = np.subtract(grouped, recon, out=grouped)
+            del recon
+            core = np.multiply(codes, mu[..., None], out=codes)
             scales = np.ldexp(mu[..., None], np.arange(4))
-            delta = _scale_deltas(grouped - recon, codes, mu, scales)
-            ratio[row : row + len(xb)] = (scales + delta) / scales
-            row += len(xb)
-            skipped += int(np.sum(~codes.any(axis=-1)))
+            delta = _scale_deltas(err, core, c8, scales)
+            # the running sum ahead of the block's ratios, accumulated in order
+            run = np.empty((len(xb) + 1, n_groups, 4))
+            run[0] = total
+            np.divide(scales + delta, scales, out=run[1:])
+            total = run.cumsum(axis=0)[-1]
+            tokens += len(xb)
+            skipped += int(np.sum(~c8.any(axis=-1)))
+    if not tokens:
+        raise DataError("no activation tokens")
     if skipped:
         log.debug("plane_corrections: %d all-zero groups skipped", skipped)
-    return (np.rint(ratio.mean(axis=0) * CORR_GRID) / CORR_GRID).astype(np.float32)
+    return (np.rint(total / tokens * CORR_GRID) / CORR_GRID).astype(np.float32)

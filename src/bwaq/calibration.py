@@ -18,12 +18,6 @@ from .config import QuantConfig
 from .errors import DataError
 
 
-def _mirror_upper(a) -> None:
-    """Copy the upper triangle of square `a` onto its lower one, in place."""
-    for i in range(1, a.shape[0]):
-        a[i, :i] = a[:i, i]
-
-
 @dataclass
 class CalibrationStats:
     """Per-layer activation statistics.
@@ -44,11 +38,15 @@ def accumulate_hessian(samples) -> CalibrationStats:
     """Accumulate H = 2 * sum(X^T X) over token-major sample matrices.
 
     act_scale is the diagonal of the unscaled accumulation sum(X^T X).
-    Accumulation runs in float64 regardless of input precision. Each sample
-    is added into one Fortran-ordered upper triangle by an in-place dsyrk
-    (beta = 1), so many small token blocks cost what one product over all
-    tokens costs; the lower triangle is mirrored once at the end, which
-    leaves the result exactly symmetric.
+    Accumulation runs in float64 regardless of input precision. Each
+    sample's X^T X is computed by numpy's matmul into one reused (C, C)
+    buffer and added to the sum. The product goes through numpy, not
+    scipy's dsyrk, for the GIL: numpy releases it for the BLAS call, which
+    scipy's f2py wrapper holds. `bwaq quantize` calibrates on its main
+    thread while a worker thread clusters the previous layer in many small
+    numpy calls, each of which has to take the GIL back. numpy runs the
+    product as a syrk and mirrors its upper triangle, so each product and
+    the sum are exactly symmetric.
     """
     samples = list(samples)
     if not samples:
@@ -58,7 +56,8 @@ def accumulate_hessian(samples) -> CalibrationStats:
         raise DataError(f"calibration sample must be 2-D, got shape {first.shape}")
     c_in = first.shape[1]
     total_tokens = 0
-    gram = np.zeros((c_in, c_in), dtype=np.float64, order="F")
+    gram = np.zeros((c_in, c_in), dtype=np.float64)
+    product = np.empty_like(gram)
     for k, sample in enumerate(samples):
         x = np.asarray(sample, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != c_in:
@@ -69,12 +68,13 @@ def accumulate_hessian(samples) -> CalibrationStats:
             span = f"tokens {total_tokens}-{total_tokens + x.shape[0] - 1}"
             raise DataError(f"sample {k} ({span}) contains non-finite values")
         if x.shape[0]:
-            # x.T of a C-ordered block is Fortran-ordered: dsyrk reads it in place
-            gram = scipy.linalg.blas.dsyrk(1.0, x.T, beta=1.0, c=gram, overwrite_c=1)
+            # an overflow leaves a non-finite Hessian, which the factorization
+            # reports as a DataError
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram += np.matmul(x.T, x, out=product)
         total_tokens += x.shape[0]
     if total_tokens < 1:
         raise DataError("calibration samples contain no tokens")
-    _mirror_upper(gram)
     act_scale = np.diag(gram).copy()
     gram *= 2.0
     return CalibrationStats(hessian=gram, act_scale=act_scale)
@@ -93,7 +93,8 @@ def damped_inverse_cholesky(hessian, damp_frac: float, overwrite: bool = False) 
 
     lambda = damp_frac * mean(diag(H)). Raises DataError with the failing
     pivot index if the damped matrix is not positive definite. overwrite
-    factors a Fortran-ordered float64 hessian in its own buffer.
+    factors a Fortran-ordered float64 hessian in its own buffer. scipy's
+    f2py LAPACK wrappers hold the GIL for each of the three calls.
     """
     h = np.asarray(hessian, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -118,11 +119,11 @@ def damped_inverse_cholesky(hessian, damp_frac: float, overwrite: bool = False) 
         raise DataError(
             f"Cholesky factorization failed at pivot {info} even after damping"
         )
-    # dpotri turns the factor into the upper triangle of the inverse
+    # dpotri turns the factor into the upper triangle of the inverse, which
+    # is all that the upper factorization below reads
     work, info = scipy.linalg.lapack.dpotri(work, lower=0, overwrite_c=1)
     if info != 0:
         raise DataError(f"inversion of the Cholesky factor failed at pivot {info}")
-    _mirror_upper(work)
     # clean=1 (the default) zeroes the lower triangle of the factor
     work, info = scipy.linalg.lapack.dpotrf(work, lower=0, overwrite_a=1)
     if info != 0:

@@ -15,14 +15,18 @@ and the quantized chain (one copy): per layer it calibrates the float
 blocks for the weight error, then runs each block through the reference
 and the quantized layer. Its timings are per-stage sums over blocks.
 
-The float chain never reads quantized weights, so while one worker thread
-runs quantize_linear on layer i, the main thread propagates layer i's
-outputs, then reads, calibrates and learns the plane corrections (from the
-calibration's perm) of layer i+1; it also writes the model. It waits for
-layer i before it hands over layer i+1, so at most one layer is in flight
-and one more layer's weights and stats are alive: 3 C^2 float64 (6 MB at
-C=512, 384 MB at C=4096). An error ends the call as in a serial walk: the
-earlier layer's error wins, and the worker has stopped before it returns.
+The float chain never reads quantized weights, so quantize_linear runs on
+one worker thread while the main thread walks on. Per layer i the main
+thread reads and calibrates layer i, waits for layer i-1 and hands layer i
+to the worker at once, then learns layer i's plane corrections (from the
+calibration's perm; quantize_linear never reads them) and propagates its
+outputs; it also writes the model. The worker's clustering is the critical
+path, so the hand-off waits for nothing else. At most one layer is in
+flight, and one more layer's weights and stats are alive: 3 C^2 float64
+(6 MB at C=512, 384 MB at C=4096); the main thread drops its references
+once it has propagated a layer. An error ends the call as in a serial walk:
+the earlier layer's error wins, and the worker has stopped before it
+returns.
 """
 
 import argparse
@@ -102,13 +106,15 @@ def cmd_quantize(args) -> int:
                     )
                 cfg.validate(n_cols=w.shape[1])
                 stats = calibration.calibrate(acts, cfg)
-                corrs.append(actquant.plane_corrections(acts, cfg, stats.perm))
                 if futures:
                     futures[-1].result()  # at most one layer in flight
                 futures.append(worker.submit(weightquant.quantize_linear, w, stats, cfg))
+                corrs.append(actquant.plane_corrections(acts, cfg, stats.perm))
+                del stats  # the worker holds it until its layer is done
                 if i + 1 < len(args.weights):
                     for k, blk in enumerate(acts):
                         _store(acts, k, nl(blk @ w.T))
+                del w
         except Exception:
             # a serial walk would have met the earlier layer's error first
             if futures and futures[-1].exception() is not None:
@@ -166,12 +172,14 @@ def cmd_eval(args) -> int:
     nl = _nonlinearity(args.nl)
     cfg = QuantConfig(damp=args.damp)
 
-    for i, (layer, ref) in enumerate(zip(layers, refs)):
+    for i, (layer, ref, path) in enumerate(zip(layers, refs, args.reference)):
         if ref.shape != (layer.rows, layer.cols):
             raise ConfigError(
                 f"layer {i}: reference shape {ref.shape} does not match "
                 f"model layer {(layer.rows, layer.cols)}"
             )
+        if not np.isfinite(ref).all():
+            raise DataError(f"{path}: reference weights contain non-finite values")
     if x.shape[1] != layers[0].cols:
         raise ConfigError(
             f"inputs have {x.shape[1]} channels, model expects {layers[0].cols}"

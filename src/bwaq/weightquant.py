@@ -124,52 +124,6 @@ def _check_group_inputs(w, hw):
     return w, hw
 
 
-def e_step(w, hw, centers):
-    """Assign each element to the nearest center under hw-weighted squared
-    distance; exact ties go to the smaller (s, q) pair."""
-    w, hw = _check_group_inputs(w, hw)
-    centers = np.asarray(centers, dtype=np.float64)
-    if not np.isfinite(centers).all():
-        raise DataError("non-finite centers")
-    flat = centers.reshape(centers.shape[:-2] + (4,))
-    dist = hw[:, None] * (w[..., :, None] - flat[..., None, :]) ** 2
-    # argmin returns the first minimum, i.e. the lexicographically
-    # smallest (s, q) on ties
-    idx = np.argmin(dist, axis=-1)
-    return (idx >> 1).astype(np.uint8), (idx & 1).astype(np.uint8)
-
-
-def m_step(w, hw, s_bits, q_bits, prev_centers) -> np.ndarray:
-    """Weighted mean per cluster; empty clusters keep their previous center.
-    Centers are re-sorted within each subgroup so that c(s,1) >= c(s,0)."""
-    w, hw = _check_group_inputs(w, hw)
-    idx = (np.asarray(s_bits, dtype=np.int64) << 1) | np.asarray(q_bits, dtype=np.int64)
-    onehot = idx[..., :, None] == np.arange(4)
-    den = (hw[:, None] * onehot).sum(axis=-2)
-    if not den.any():
-        raise DataError("all clusters empty")
-    # mean anchored at the cluster's first member: exact for constant
-    # clusters, which keeps already-representable groups at zero loss
-    first = np.argmax(onehot, axis=-2)
-    anchor = np.take_along_axis(w, first, axis=-1)
-    num = ((hw[:, None] * (w[..., :, None] - anchor[..., None, :])) * onehot).sum(axis=-2)
-    prev = np.asarray(prev_centers, dtype=np.float64).reshape(num.shape)
-    with np.errstate(invalid="ignore"):
-        centers = np.where(den > 0, anchor + num / np.where(den > 0, den, 1.0), prev)
-    centers = centers.reshape(centers.shape[:-1] + (2, 2))
-    return np.sort(centers, axis=-1)
-
-
-def clustering_loss(w, hw, centers, s_bits, q_bits) -> np.ndarray:
-    """Hessian-weighted squared-error objective of an assignment."""
-    w = np.asarray(w, dtype=np.float64)
-    hw = np.asarray(hw, dtype=np.float64)
-    flat = np.asarray(centers, dtype=np.float64).reshape(centers.shape[:-2] + (4,))
-    idx = (np.asarray(s_bits, dtype=np.int64) << 1) | np.asarray(q_bits, dtype=np.int64)
-    assigned = np.take_along_axis(flat, idx, axis=-1)
-    return (hw * (w - assigned) ** 2).sum(axis=-1)
-
-
 def optimal_partition(w, hw, k: int = 4):
     """Globally optimal hw-weighted partition of each row into k clusters,
     k in {2, 4}.
@@ -238,25 +192,76 @@ def optimal_partition(w, hw, k: int = 4):
     return s_bits, q_bits
 
 
+def _sum_over_b(a) -> np.ndarray:
+    """Column sums of a C-ordered (B, rows) array, adding b = 0, 1, ... in
+    order. numpy reduces axis 0 that way for two or more columns, but sums
+    a lone column pairwise; its running sum keeps the order."""
+    return a.sum(axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
+
+
 def em_binarize(w, hw, iters: int, k: int = 4) -> EmResult:
     """Exact k-center clustering of each group, k in {2, 4}.
 
     The bits are the globally optimal partition from optimal_partition and
-    the centers its clusters' weighted means from m_step, so constant
-    clusters stay exact; with k=2 subgroup 1 is empty and its centers are 0.
-    With k=4 one e_step then reassigns exact ties to the smaller (s, q)
-    pair. The optimum is a fixed point of e/m steps, so none follow: `iters`
-    is validated (>= 1) but has no effect, and `history` holds the one loss.
+    the centers its clusters' weighted means, each anchored at its cluster's
+    first member, so constant clusters stay exact; an empty cluster's center
+    is 0, so with k=2 subgroup 1's centers are 0. The centers are sorted
+    within each subgroup. With k=4 each element is then reassigned to its
+    nearest center under hw-weighted squared distance, exact ties going to
+    the smaller (s, q) pair. The optimum is a fixed point of e/m steps, so
+    none follow: `iters` is validated (>= 1) but has no effect, and
+    `history` holds the one loss.
+
+    The work after the partition runs one center at a time on a C-ordered
+    (B, rows) copy of the group: every cluster sum adds its members in the
+    order of b, as a sum over axis -2 of (rows, B, 4) one-hot tensors does.
     """
     if iters < 1:
         raise DataError(f"iters must be >= 1, got {iters}")
     w, hw = _check_group_inputs(w, hw)
     s_bits, q_bits = optimal_partition(w, hw, k)
-    centers = m_step(w, hw, s_bits, q_bits, np.zeros(w.shape[:-1] + (2, 2)))
-    if k == 4:
-        s_bits, q_bits = e_step(w, hw, centers)
-    loss = clustering_loss(w, hw, centers, s_bits, q_bits)
-    return EmResult(s_bits=s_bits, q_bits=q_bits, centers=centers, loss=loss, history=[loss])
+    b = w.shape[-1]
+    wt = np.ascontiguousarray(w.reshape(-1, b).T)
+    slot = np.ascontiguousarray(((s_bits << 1) | q_bits).reshape(-1, b).T)
+    hwc = hw[:, None]
+    cols = np.arange(wt.shape[1])
+    flat = np.zeros((wt.shape[1], 4))
+    for c in range(4):
+        member = slot == c
+        den = _sum_over_b(hwc * member)
+        anchor = wt[member.argmax(axis=0), cols]
+        num = _sum_over_b(np.multiply(hwc * (wt - anchor), member))
+        with np.errstate(invalid="ignore"):
+            flat[:, c] = np.where(den > 0, anchor + num / np.where(den > 0, den, 1.0), 0.0)
+    if not np.isfinite(flat).all():
+        raise DataError("non-finite centers")
+    centers = np.sort(flat.reshape(-1, 2, 2), axis=-1)
+    flat = centers.reshape(-1, 4)
+
+    # each element's weighted squared distance to its center; with k=4 the
+    # nearest center's, the first one on ties
+    best = np.full(wt.shape, np.inf)
+    for c in range(4 if k == 4 else 2):
+        dist = wt - flat[:, c]
+        np.square(dist, out=dist)
+        dist *= hwc
+        if k == 4:
+            slot[dist < best] = c
+            np.minimum(best, dist, out=best)
+        else:
+            np.copyto(best, dist, where=slot == c)
+    s_bits = np.ascontiguousarray((slot >> 1).T).reshape(w.shape)
+    q_bits = np.ascontiguousarray((slot & 1).T).reshape(w.shape)
+    # each row's loss is summed along its contiguous axis (pairwise), as a
+    # sum over the last axis of the (rows, B) distances is
+    loss = np.ascontiguousarray(best.T).reshape(w.shape).sum(axis=-1)
+    return EmResult(
+        s_bits=s_bits,
+        q_bits=q_bits,
+        centers=centers.reshape(w.shape[:-1] + (2, 2)),
+        loss=loss,
+        history=[loss],
+    )
 
 
 def rtn_binarize(w, clip: float = 1.0) -> EmResult:

@@ -1,11 +1,13 @@
 """Independent brute-force references for the test suite.
 
 These deliberately share no code with the package under test: plain loops,
-an interval dynamic program, numpy's own bit packing and scipy's Cholesky
-routines only. The imports from bwaq are its DataError, which the scalar bit
-blocks and the retired activation decomposition raise as they did when they
-lived in the package, and the library calls that eval_three_pass composes:
-it is a reference for how `bwaq eval` walks the stack, not for the calls.
+an interval dynamic program, numpy's own bit packing and scipy's BLAS and
+Cholesky routines only. The imports from bwaq are its DataError, which the
+scalar bit blocks and the retired activation decomposition raise as they did
+when they lived in the package, and the library calls that two references
+compose: eval_three_pass is a reference for how `bwaq eval` walks the stack,
+and em_binarize_reference for how em_binarize follows optimal_partition,
+not for the calls.
 """
 
 from dataclasses import dataclass, replace
@@ -132,6 +134,63 @@ def enumerate_contiguous_optimum(values, weights, k: int) -> float:
             total = sum(interval_cost(bounds[c], bounds[c + 1]) for c in range(m))
             best = min(best, total)
     return best
+
+
+def e_step(w, hw, centers):
+    """Assign each element to the nearest center under hw-weighted squared
+    distance; exact ties go to the smaller (s, q) pair."""
+    w = np.asarray(w, dtype=np.float64)
+    hw = np.asarray(hw, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
+    flat = centers.reshape(centers.shape[:-2] + (4,))
+    dist = hw[:, None] * (w[..., :, None] - flat[..., None, :]) ** 2
+    # argmin returns the first minimum, i.e. the lexicographically
+    # smallest (s, q) on ties
+    idx = np.argmin(dist, axis=-1)
+    return (idx >> 1).astype(np.uint8), (idx & 1).astype(np.uint8)
+
+
+def m_step(w, hw, s_bits, q_bits, prev_centers) -> np.ndarray:
+    """Weighted mean per cluster, anchored at the cluster's first member (so
+    constant clusters are exact); empty clusters keep their previous center.
+    Centers are re-sorted within each subgroup so that c(s,1) >= c(s,0).
+    The cluster sums run over axis -2 of (..., B, 4) one-hot tensors."""
+    w = np.asarray(w, dtype=np.float64)
+    hw = np.asarray(hw, dtype=np.float64)
+    idx = (np.asarray(s_bits, dtype=np.int64) << 1) | np.asarray(q_bits, dtype=np.int64)
+    onehot = idx[..., :, None] == np.arange(4)
+    den = (hw[:, None] * onehot).sum(axis=-2)
+    first = np.argmax(onehot, axis=-2)
+    anchor = np.take_along_axis(w, first, axis=-1)
+    num = ((hw[:, None] * (w[..., :, None] - anchor[..., None, :])) * onehot).sum(axis=-2)
+    prev = np.asarray(prev_centers, dtype=np.float64).reshape(num.shape)
+    with np.errstate(invalid="ignore"):
+        centers = np.where(den > 0, anchor + num / np.where(den > 0, den, 1.0), prev)
+    centers = centers.reshape(centers.shape[:-1] + (2, 2))
+    return np.sort(centers, axis=-1)
+
+
+def clustering_loss(w, hw, centers, s_bits, q_bits) -> np.ndarray:
+    """Hessian-weighted squared-error objective of an assignment."""
+    w = np.asarray(w, dtype=np.float64)
+    hw = np.asarray(hw, dtype=np.float64)
+    flat = np.asarray(centers, dtype=np.float64).reshape(centers.shape[:-2] + (4,))
+    idx = (np.asarray(s_bits, dtype=np.int64) << 1) | np.asarray(q_bits, dtype=np.int64)
+    assigned = np.take_along_axis(flat, idx, axis=-1)
+    return (hw * (w - assigned) ** 2).sum(axis=-1)
+
+
+def em_binarize_reference(w, hw, k: int = 4) -> weightquant.EmResult:
+    """em_binarize composed from its steps: optimal_partition, one m_step
+    from zero centers, with k=4 one e_step, and the clustering_loss of the
+    result."""
+    w = np.asarray(w, dtype=np.float64)
+    s_bits, q_bits = weightquant.optimal_partition(w, hw, k)
+    centers = m_step(w, hw, s_bits, q_bits, np.zeros(w.shape[:-1] + (2, 2)))
+    if k == 4:
+        s_bits, q_bits = e_step(w, hw, centers)
+    loss = clustering_loss(w, hw, centers, s_bits, q_bits)
+    return weightquant.EmResult(s_bits, q_bits, centers, loss, history=[loss])
 
 
 def naive_counts(q_bits, b_bits, m_bits):
@@ -333,6 +392,41 @@ def damped_inverse_cholesky_reference(hessian, damp_frac: float) -> np.ndarray:
     chol = scipy.linalg.cholesky(h + lam * np.eye(n), lower=False)
     inv = scipy.linalg.cho_solve((chol, False), np.eye(n))
     return scipy.linalg.cholesky((inv + inv.T) / 2.0, lower=False)
+
+
+def accumulate_hessian_dsyrk(samples) -> np.ndarray:
+    """The retired Hessian accumulation: scipy's dsyrk adds each sample's
+    X^T X into one Fortran-ordered upper triangle (beta = 1), the lower
+    triangle is mirrored once at the end, and the sum is doubled."""
+    c_in = np.shape(samples[0])[1]
+    gram = np.zeros((c_in, c_in), order="F")
+    for x in samples:
+        x = np.asarray(x, dtype=np.float64)
+        gram = scipy.linalg.blas.dsyrk(1.0, x.T, beta=1.0, c=gram, overwrite_c=1)
+    lower = np.tril_indices(c_in, -1)
+    gram[lower] = gram.T[lower]
+    return 2.0 * gram
+
+
+def damped_inverse_cholesky_mirrored(hessian, damp_frac: float) -> np.ndarray:
+    """The retired LAPACK path: dpotrf of H + lambda*I, dpotri, the upper
+    triangle of the inverse mirrored onto its lower one, and dpotrf of the
+    full inverse. lambda = damp_frac * mean(diag(H)), or damp_frac for a
+    zero diagonal."""
+    h = np.asarray(hessian, dtype=np.float64)
+    mean_diag = float(np.mean(np.diag(h)))
+    lam = damp_frac * mean_diag if mean_diag > 0 else damp_frac
+    work = np.array(h, order="F")
+    work[np.diag_indices_from(work)] += lam
+    work, info = scipy.linalg.lapack.dpotrf(work, lower=0, overwrite_a=1)
+    assert info == 0
+    work, info = scipy.linalg.lapack.dpotri(work, lower=0, overwrite_c=1)
+    assert info == 0
+    lower = np.tril_indices_from(work, -1)
+    work[lower] = work.T[lower]
+    work, info = scipy.linalg.lapack.dpotrf(work, lower=0, overwrite_a=1)
+    assert info == 0
+    return work
 
 
 def _rtn_reference(x, qmax: float, clip: float):

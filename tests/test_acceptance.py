@@ -27,9 +27,9 @@ from bwaq import (
 from bwaq.actquant import quantize_activations, reconstruct
 from bwaq.bitkernel import bench_forward, counts, random_activations, random_layer
 from bwaq.bits import unpack_bits
-from bwaq.weightquant import clustering_loss
 
 from oracles import (
+    clustering_loss,
     dp_optimal_clusters,
     grid_corrections,
     grid_levels_of,

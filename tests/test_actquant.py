@@ -345,6 +345,11 @@ class TestPlaneCorrections:
         with pytest.raises(DataError):
             plane_corrections(rng.normal(size=2 * 64), layer)
 
+    def test_no_tokens_rejected(self, rng):
+        layer = random_layer(rng, 1, 2 * 64, 64, 0)
+        with pytest.raises(DataError, match="no activation tokens"):
+            plane_corrections([np.empty((0, 2 * 64))], layer)
+
     def test_peak_memory_does_not_grow_with_tokens(self):
         rng = np.random.default_rng(11)
         layer = random_layer(rng, 1, 1024, 128, 128)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,7 +15,11 @@ from bwaq import (
 )
 from bwaq.actquant import PLANE_CORR_TOKENS
 
-from oracles import damped_inverse_cholesky_reference
+from oracles import (
+    accumulate_hessian_dsyrk,
+    damped_inverse_cholesky_mirrored,
+    damped_inverse_cholesky_reference,
+)
 
 
 def test_identity_sample():
@@ -60,6 +66,31 @@ def test_token_blocks_match_one_sample(rng):
     assert np.abs(blocked.hessian - 2.0 * x.T @ x).max() <= 1e-12 * scale
     assert np.array_equal(blocked.hessian, blocked.hessian.T)
     assert np.array_equal(blocked.act_scale, np.diag(blocked.hessian) / 2.0)
+
+
+@pytest.mark.parametrize("block", [1, PLANE_CORR_TOKENS])
+@pytest.mark.parametrize("width", range(64, 1025, 64))
+def test_accumulation_equals_the_dsyrk_accumulation(width, block):
+    # bit for bit, at widths where numpy's and scipy's OpenBLAS builds agree;
+    # the product goes through numpy because numpy releases the GIL for it
+    rng = np.random.default_rng([width, block])
+    tokens = 5 if block == 1 else 2 * block + 37
+    x = rng.normal(size=(tokens, width)) * rng.uniform(0.1, 10, size=width)
+    blocks = [x[i : i + block] for i in range(0, tokens, block)]
+    stats = accumulate_hessian(blocks)
+    assert np.array_equal(stats.hessian, stats.hessian.T)
+    assert np.array_equal(stats.hessian, accumulate_hessian_dsyrk(blocks))
+    assert np.array_equal(stats.act_scale, np.diag(stats.hessian) / 2.0)
+
+
+def test_accumulation_overflow_is_reported_without_warnings():
+    x = np.ones((4, 8))
+    x[1, 2] = 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = accumulate_hessian([x])
+        with pytest.raises(DataError, match="hessian contains non-finite values"):
+            damped_inverse_cholesky(stats.hessian, 0.01)
 
 
 def test_empty_blocks_are_skipped(rng):
@@ -170,6 +201,18 @@ def test_factor_matches_cho_solve_formula_near_singular(rng, damp):
     ref = damped_inverse_cholesky_reference(h, damp)
     got = damped_inverse_cholesky(h, damp)
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [8, 64, 256, 512])
+def test_factor_equals_the_path_that_mirrored_the_inverse(rng, n):
+    # the upper factorization reads only the upper triangle of dpotri's
+    # inverse, so mirroring it onto the lower one changed no bit
+    x = rng.normal(size=(2 * n, n)) * rng.uniform(0.1, 10, size=n)
+    h = accumulate_hessian([x]).hessian
+    for damp in (0.01, 1e-6):
+        assert np.array_equal(
+            damped_inverse_cholesky(h, damp), damped_inverse_cholesky_mirrored(h, damp)
+        )
 
 
 def test_calibrate_assembles_permuted_factor(rng):

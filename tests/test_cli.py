@@ -565,6 +565,26 @@ def test_eval_non_finite_activations_exit_3_with_one_line(toy_stack, rng, capsys
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("layer", [0, 1], ids=["first", "last"])
+def test_eval_non_finite_reference_exit_3_with_one_line(toy_stack, capsys, layer):
+    assert main(_quantize_args(toy_stack)) == 0
+    path = toy_stack[f"w{layer}"]
+    w = read_tensor(path)
+    w[3, 5] = np.nan
+    write_tensor(path, w)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([
+            "eval", "--model", str(toy_stack["model"]), "--inputs", str(toy_stack["inputs"]),
+            "--reference", str(toy_stack["w0"]), str(toy_stack["w1"]),
+        ]) == 3
+    assert not caught, [str(w.message) for w in caught]
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: reference weights contain non-finite values\n"
+    assert captured.out == ""
+
+
 def test_eval_shape_mismatch_exit_2(toy_stack, capsys):
     assert main(_quantize_args(toy_stack)) == 0
     code = main(

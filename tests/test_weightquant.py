@@ -11,17 +11,22 @@ from bwaq import (
     QuantConfig,
     calibrate,
     dequant_weights,
-    e_step,
     em_binarize,
     gptq_compensate,
-    m_step,
     quant_outliers_int8,
     quantize_linear,
     recover_affine,
 )
-from bwaq.weightquant import clustering_loss, effective_centers
+from bwaq.weightquant import effective_centers
 
-from oracles import dp_optimal_clusters, enumerate_contiguous_optimum
+from oracles import (
+    clustering_loss,
+    dp_optimal_clusters,
+    e_step,
+    em_binarize_reference,
+    enumerate_contiguous_optimum,
+    m_step,
+)
 
 
 class TestESten:
@@ -69,6 +74,44 @@ class TestMStep:
         s, q = e_step(w, hw, centers)
         out = m_step(w, hw, s, q, centers)
         assert np.all(out[..., 1] >= out[..., 0])
+
+
+def _group(rng, kind, shape):
+    """A weight group and its Hessian weights, for the em_binarize cases."""
+    hw = rng.uniform(0.5, 2.0, size=shape[-1])
+    if kind == "gaussian":
+        return rng.normal(size=shape), hw
+    if kind == "small-integer":
+        return rng.integers(-3, 4, size=shape).astype(np.float64), hw
+    if kind == "constant":
+        return np.full(shape, -2.75), hw
+    if kind == "exact-tie":
+        # unit weights and values on a half grid: elements midway between
+        # two centers
+        return rng.integers(0, 3, size=shape) * 0.5, np.ones(shape[-1])
+    # two values for four centers: the tie rule leaves clusters empty
+    return rng.choice([-1.0, 1.0], size=shape), hw
+
+
+GROUP_KINDS = ("gaussian", "small-integer", "constant", "exact-tie", "empty-cluster")
+
+
+@pytest.mark.parametrize("kind", GROUP_KINDS)
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("b", [4, 8, 16, 17, 64, 96, 128])
+def test_em_binarize_equals_the_step_composition(b, k, kind):
+    # every field bit for bit: each cluster sum must add its members in the
+    # order the one-hot reference does
+    rng = np.random.default_rng([b, k, GROUP_KINDS.index(kind)])
+    for shape in [(b,), (1, b), (2, b), (37, b)]:
+        w, hw = _group(rng, kind, shape)
+        got = em_binarize(w, hw, 8, k=k)
+        want = em_binarize_reference(w, hw, k)
+        for name in ("s_bits", "q_bits", "centers", "loss"):
+            a, e = getattr(got, name), getattr(want, name)
+            assert np.array_equal(a, e), (name, shape)
+            assert np.shape(a) == np.shape(e) and np.asarray(a).dtype == np.asarray(e).dtype
+        assert len(got.history) == 1 and np.array_equal(got.history[0], want.history[0])
 
 
 class TestEmBinarize:
@@ -180,6 +223,12 @@ class TestEmBinarize:
             one = em_binarize(w[r], hw, 8, k=k)
             assert one.loss.shape == ()
             assert float(one.loss) == pytest.approx(float(res.loss[r]), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [4, 2])
+    def test_centers_past_the_float64_range_rejected(self, k):
+        w = np.array([1.7e308, -1.7e308, 1.7e308, -1.7e308, 0.5, 3.0])
+        with np.errstate(all="ignore"), pytest.raises(DataError, match="non-finite centers"):
+            em_binarize(w, np.ones(6), 8, k=k)
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_rejects_unsupported_center_count(self, k):
