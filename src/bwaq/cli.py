@@ -20,9 +20,9 @@ one worker thread while the main thread walks on. Per layer i the main
 thread reads and calibrates layer i, waits for layer i-1 and hands layer i
 to the worker at once, then learns layer i's plane corrections (from the
 calibration's perm; quantize_linear never reads them) and propagates its
-outputs; it also writes the model. The worker's clustering is the critical
-path, so the hand-off waits for nothing else. At most one layer is in
-flight, and one more layer's weights and stats are alive: 3 C^2 float64
+outputs; it also writes the model. The worker's clustering is most of the
+critical path, so the hand-off waits for nothing else. At most one layer is
+in flight, and one more layer's weights and stats are alive: 3 C^2 float64
 (6 MB at C=512, 384 MB at C=4096); the main thread drops its references
 once it has propagated a layer. An error ends the call as in a serial walk:
 the earlier layer's error wins, and the worker has stopped before it
